@@ -2,8 +2,7 @@
 
 One sweep evaluates every strategy on a shared ratio grid.  The random
 baseline is averaged over seeded runs whose generators derive from
-(seed, grid index, run index), so the table is reproducible bit for bit
-and indifferent to thread count.
+(seed, grid index, run index), so the table is reproducible bit for bit.
 """
 
 from pathlib import Path

@@ -12,13 +12,14 @@ on stderr so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from math import isfinite
 
 from .errors import KgsqueezeError
-from .experiments import run_sweep
+from .experiments import ratio_grid, run_sweep
 from .graph import ProbabilityGraph
 from .io import (
     emit_selection,
@@ -115,7 +116,8 @@ def _build_parser() -> _Parser:
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--phi", type=_phi, default=DEFAULT_PHI)
     sweep_p.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker threads; never changes the output bytes")
+                         help="accepted for compatibility; the sweep always "
+                              "runs in one thread")
     sweep_p.add_argument("--dump-runs", default=None,
                          help="also write per-run random-baseline figures (CSV)")
     sweep_p.add_argument("--output", required=True, help="sweep CSV path")
@@ -165,16 +167,35 @@ def _read_graph(path: str) -> ProbabilityGraph:
     return graph
 
 
-def _write_output(path: str | None, data: bytes) -> None:
-    if path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        return
+def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
+    """Write every (path, data) pair, or leave every path as it was.
+
+    Each file is first written to a temporary file beside its target;
+    only once all of them are written do they replace their targets.
+    A path of None means stdout.
+    """
+    staged: list[tuple[str, str]] = []
     try:
-        with open(path, "wb") as handle:
-            handle.write(data)
+        for i, (path, data) in enumerate(outputs):
+            if path is None:
+                continue
+            directory, name = os.path.split(path)
+            temp = os.path.join(directory, f".{name}.{os.getpid()}-{i}.tmp")
+            with open(temp, "xb") as handle:
+                staged.append((temp, path))
+                handle.write(data)
+        for temp, path in staged:
+            os.replace(temp, path)
     except OSError as exc:
-        raise KgsqueezeError(f"cannot write {path}: {exc}") from None
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        reason = exc.strerror or exc
+        raise KgsqueezeError(f"cannot write {path}: {reason}") from None
+    for path, data in outputs:
+        if path is None:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
 
 
 def _resolve_seed(given: int | None) -> int:
@@ -199,8 +220,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     result = select(
         graph, SelectionConfig(args.k, args.depth, args.strategy, seed)
     )
-    document = emit_selection(result, graph)
-    _write_output(args.output, document)
+    _write_outputs([(args.output, emit_selection(result, graph))])
     print(
         f"SU={result.semantic_uncertainty:.9g} "
         f"effective_depth={result.effective_depth}",
@@ -212,6 +232,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_from > args.k_to:
         raise UsageError("--k-from must not exceed --k-to")
+    try:
+        ratio_grid(args.k_from, args.k_to, args.k_step)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     graph = _read_graph(args.input)
     seed = _resolve_seed(args.seed)
     rows, records = run_sweep(
@@ -225,8 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         phi=args.phi,
         jobs=args.jobs,
     )
-    table = emit_sweep_table(rows)
-    dump = None
+    outputs = [(args.output, emit_sweep_table(rows))]
     if args.dump_runs is not None:
         lines = ["K,run_index,seed,SU,SS,A,C,theta"]
         lines += [
@@ -234,10 +257,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{r.A:.9g},{r.C:.9g},{r.theta:.9g}"
             for r in records
         ]
-        dump = ("\n".join(lines) + "\n").encode("utf-8")
-    _write_output(args.output, table)
-    if dump is not None:
-        _write_output(args.dump_runs, dump)
+        outputs.append((args.dump_runs, ("\n".join(lines) + "\n").encode("utf-8")))
+    _write_outputs(outputs)
     print(f"rows={len(rows)} seed={seed}", file=sys.stderr)
     return 0
 

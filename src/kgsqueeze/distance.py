@@ -6,19 +6,19 @@ node").  The relational distance between two entities is the minimum
 number of edges between them, ignoring edge direction; it bounds how far
 a selected quadruple may stray from the central concept.
 
-Distances are computed over all pairs with the Floyd-Warshall recurrence
-on a dense numpy matrix, then projected to the row of the requested
-source.  Unreachable entities get the explicit value ``UNREACHABLE``
-rather than an error, because selection has to reason about them when
-relaxing the depth constraint.
+Selection only needs the distances from the central concept, so they
+come from one breadth-first search from that source over the undirected
+adjacency (the same hop counts the paper's Floyd's algorithm gives on
+this unweighted graph).  Unreachable entities get the explicit value
+``UNREACHABLE`` rather than an error, because selection has to reason
+about them when relaxing the depth constraint.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import inf, isinf
-
-import numpy as np
 
 from .graph import Entity, ProbabilityGraph
 
@@ -67,18 +67,6 @@ def select_initial_node(graph: ProbabilityGraph) -> str:
     return best.id
 
 
-def _floyd_warshall(n: int, edges: set[tuple[int, int]]) -> np.ndarray:
-    """All-pairs shortest hop counts over an undirected, unweighted graph."""
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for u, v in edges:
-        dist[u, v] = 1.0
-        dist[v, u] = 1.0
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    return dist
-
-
 def all_distances(graph: ProbabilityGraph, source: str) -> DistanceTable:
     """Relational distances from ``source`` to every entity in the graph.
 
@@ -89,15 +77,17 @@ def all_distances(graph: ProbabilityGraph, source: str) -> DistanceTable:
     """
     graph.entity(source)  # raises UnknownEntityError if absent
 
-    index = {e.id: i for i, e in enumerate(graph.entities)}
-    edges = {
-        (index[q.head], index[q.tail])
-        for q in graph.quadruples
-    }
-    matrix = _floyd_warshall(len(graph.entities), edges)
-    row = matrix[index[source]]
-    distance: dict[str, int | float] = {
-        e.id: (UNREACHABLE if np.isinf(row[i]) else int(row[i]))
-        for i, e in enumerate(graph.entities)
-    }
+    adjacency: dict[str, set[str]] = {e.id: set() for e in graph.entities}
+    for q in graph.quadruples:
+        adjacency[q.head].add(q.tail)
+        adjacency[q.tail].add(q.head)
+    distance: dict[str, int | float] = dict.fromkeys(adjacency, UNREACHABLE)
+    distance[source] = 0
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in adjacency[node]:
+            if distance[neighbor] == UNREACHABLE:
+                distance[neighbor] = distance[node] + 1
+                queue.append(neighbor)
     return DistanceTable(source=source, distance=distance)

@@ -4,13 +4,14 @@ For each ratio on the grid and each strategy, runs the selection and
 scores it (uncertainty directly, similarity against the built-in
 verbalizer's recovered text).  The random baseline is averaged over a
 number of seeded runs; every run's generator is derived from
-(seed, grid index, run index), so results do not depend on scheduling
-and grid points may be evaluated in parallel.
+(seed, grid index, run index), so results depend on nothing but the
+arguments.  Grid points are evaluated one after another: the work is
+pure Python, so threads did not speed it up, and ``jobs`` is accepted
+only so existing callers keep working.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor, fsum
 
@@ -23,6 +24,9 @@ from .selection import STRATEGIES, SelectionConfig, select
 
 #: Slack when deciding how many grid points a (from, to, step) span holds.
 _GRID_EPS = 1e-9
+
+#: Largest ratio grid a sweep accepts; finer steps are refused up front.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -43,13 +47,19 @@ def ratio_grid(k_from: float, k_to: float, k_step: float) -> list[float]:
     """Grid points k_from + i * k_step, capped at k_to.
 
     The point count is decided by index arithmetic, not by accumulating
-    floats, so 0.1 .. 1.0 by 0.1 is exactly ten points.
+    floats, so 0.1 .. 1.0 by 0.1 is exactly ten points.  Grids of more
+    than ``MAX_GRID_POINTS`` points raise ValueError before any is built.
     """
     if not 0.0 < k_from <= k_to <= 1.0:
         raise ValueError("need 0 < k_from <= k_to <= 1")
-    if k_step <= 0.0:
+    if not k_step > 0.0:
         raise ValueError("k_step must be positive")
-    points = floor((k_to - k_from) / k_step + _GRID_EPS) + 1
+    span = (k_to - k_from) / k_step + _GRID_EPS
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"k_step {k_step!r} gives more than {MAX_GRID_POINTS} grid points"
+        )
+    points = floor(span) + 1
     return [min(k_from + i * k_step, k_to) for i in range(points)]
 
 
@@ -134,28 +144,18 @@ def run_sweep(
     """All strategies across the ratio grid; see the module docstring.
 
     Returns rows sorted by (strategy, K) and the individual
-    random-baseline run records sorted by (K, run index).  Output is
-    byte-for-byte independent of ``jobs``.
+    random-baseline run records sorted by (K, run index).  ``jobs``
+    must be positive and changes nothing.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    grid = ratio_grid(k_from, k_to, k_step)
-    tasks = [
-        (grid_index, ratio, strategy)
-        for grid_index, ratio in enumerate(grid)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    outcomes = [
+        _sweep_point(graph, grid_index, ratio, strategy, depth, runs, seed, phi)
+        for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step))
         for strategy in STRATEGIES
     ]
-
-    def work(task: tuple[int, float, str]) -> tuple[SweepRow, list[RunRecord]]:
-        grid_index, ratio, strategy = task
-        return _sweep_point(graph, grid_index, ratio, strategy, depth, runs, seed, phi)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
-
     rows = sorted((row for row, _ in outcomes), key=lambda r: (r.strategy, r.K))
     records = sorted(
         (record for _, recs in outcomes for record in recs),

@@ -53,6 +53,18 @@ class SweepRow:
     runs_averaged: int
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a key given twice is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaViolationError(f"duplicate key {key!r} in an object")
+            seen.add(key)
+    return obj
+
+
 def _decode(data: bytes | str) -> object:
     if isinstance(data, bytes):
         try:
@@ -60,7 +72,7 @@ def _decode(data: bytes | str) -> object:
         except UnicodeDecodeError as exc:
             raise MalformedDocumentError(f"not valid UTF-8: {exc}") from None
     try:
-        return json.loads(data)
+        return json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
 

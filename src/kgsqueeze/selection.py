@@ -19,7 +19,7 @@ set, so comparisons isolate the selection criterion itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, fsum, log2
+from math import floor, fsum, isinf, log2
 
 import numpy as np
 
@@ -180,15 +180,19 @@ def _candidates_with_relaxation(
     still short, quadruples with unreachable endpoints are appended in
     ascending-entropy order, and the fallback flag is set.
 
+    A quadruple qualifies from depth max(d[head], d[tail]) on, so the
+    stopping depth is read off the ``target``-th smallest such reach.
+
     Returns (candidate indices, effective depth, relaxation steps,
     disconnected fallback fired).
     """
-    deepest = distances.max_finite()
-    depth = max_depth
+    d = distances.distance
+    reach = sorted(max(d[q.head], d[q.tail]) for q in graph.quadruples)
+    needed = reach[target - 1]
+    if isinf(needed):
+        needed = distances.max_finite()
+    depth = max(max_depth, needed)
     pool = eligible(graph, distances, depth)
-    while len(pool) < target and depth < deepest:
-        depth += 1
-        pool = eligible(graph, distances, depth)
 
     fallback = len(pool) < target
     if fallback:

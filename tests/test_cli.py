@@ -72,6 +72,63 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert main(["select", "--help"]) == 0
 
+    def test_duplicate_json_key_is_data_error(self, capsys, tmp_path):
+        text = (FIXTURE_DIR / "bruce.json").read_text(encoding="utf-8")
+        bad = tmp_path / "dup.json"
+        bad.write_text('{"text": "x", ' + text.lstrip()[1:], encoding="utf-8")
+        out = tmp_path / "sel.json"
+        assert main(["select", "--input", str(bad), "--k", "1",
+                     "--depth", "1", "--output", str(out)]) == 2
+        assert "duplicate key 'text'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_fine_grid_is_usage(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        # 1e-4 .. 1.0 by 9.999e-5 is MAX_GRID_POINTS + 1 points; the grid
+        # is refused before the (missing) input is even read
+        assert main(["sweep", "--input", str(tmp_path / "missing.json"),
+                     "--k-from", "1e-4", "--k-step", "9.999e-5",
+                     "--output", str(out)]) == 1
+        assert "grid points" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputFiles:
+    """A failed command leaves every output path as it was."""
+
+    def sweep_into_missing_dir(self, tmp_path):
+        return main(["sweep", "--input", BRUCE, "--seed", "1", "--runs", "2",
+                     "--output", str(tmp_path / "out.csv"),
+                     "--dump-runs", str(tmp_path / "missing_dir" / "runs.csv")])
+
+    def test_failed_dump_writes_no_table(self, capsys, tmp_path):
+        assert self.sweep_into_missing_dir(tmp_path) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_dump_keeps_existing_table(self, capsys, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"previous bytes\n")
+        assert self.sweep_into_missing_dir(tmp_path) == 2
+        assert out.read_bytes() == b"previous bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_success_replaces_existing_files(self, capsys, tmp_path):
+        out, dump = tmp_path / "out.csv", tmp_path / "runs.csv"
+        out.write_bytes(b"old")
+        dump.write_bytes(b"old")
+        assert main(["sweep", "--input", BRUCE, "--seed", "1", "--runs", "2",
+                     "--output", str(out), "--dump-runs", str(dump)]) == 0
+        assert out.read_bytes().startswith(kq.SWEEP_HEADER.encode())
+        assert dump.read_bytes().startswith(b"K,run_index,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "runs.csv"]
+
+    def test_select_into_missing_dir(self, capsys, tmp_path):
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", str(tmp_path / "missing" / "sel.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSelect:
     def test_writes_selection_document(self, capsys, tmp_path):

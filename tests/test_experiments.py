@@ -35,6 +35,12 @@ class TestRatioGrid:
         with pytest.raises(ValueError):
             kq.ratio_grid(0.1, 1.0, 0.0)
 
+    def test_grid_size_is_capped(self):
+        cap = kq.experiments.MAX_GRID_POINTS
+        assert len(kq.ratio_grid(1e-4, 1.0, 1e-4)) == cap
+        with pytest.raises(ValueError, match="grid points"):
+            kq.ratio_grid(1e-4, 1.0, 9.999e-5)  # cap + 1 points
+
 
 class TestRunSweep:
     def test_row_count_is_grid_times_strategies(self, hangzhou):
@@ -67,6 +73,10 @@ class TestRunSweep:
         assert serial[0] == threaded[0]
         assert serial[1] == threaded[1]
         assert kq.emit_sweep_table(serial[0]) == kq.emit_sweep_table(threaded[0])
+
+    def test_jobs_must_be_positive(self, bruce):
+        with pytest.raises(ValueError, match="jobs"):
+            kq.run_sweep(bruce, runs=1, seed=7, jobs=0)
 
     def test_random_rows_average_the_run_records(self, hangzhou):
         rows, records = kq.run_sweep(

@@ -121,6 +121,19 @@ class TestGraphDocumentErrors:
         with pytest.raises(kq.SchemaViolationError, match=fragment):
             kq.parse_graph_document(as_bytes(doc))
 
+    def test_duplicate_confidence_key_rejected(self):
+        text = as_bytes(valid_doc()).decode("utf-8").replace(
+            '{"r1": 1.0}', '{"r1": 0.2, "r1": 1.0}'
+        )
+        assert '"r1": 0.2, "r1": 1.0' in text
+        with pytest.raises(kq.SchemaViolationError, match="duplicate key 'r1'"):
+            kq.parse_graph_document(text)
+
+    def test_duplicate_top_level_key_rejected(self):
+        text = '{"text": "a", ' + as_bytes(valid_doc()).decode("utf-8")[1:]
+        with pytest.raises(kq.SchemaViolationError, match="duplicate key 'text'"):
+            kq.parse_graph_document(text)
+
     def test_semantic_errors_carry_candidate_index(self):
         doc = valid_doc()
         doc["candidates"][1]["head"] = "ghost"
@@ -183,6 +196,14 @@ class TestSelectionDocuments:
         doc["H"] = 99
         with pytest.raises(kq.SchemaViolationError, match="distinct"):
             kq.parse_selection_document(json.dumps(doc))
+
+    def test_duplicate_key_rejected(self, bruce):
+        result = kq.select_proposed(bruce, kq.SelectionConfig(0.2, 9))
+        text = kq.emit_selection(result, bruce).decode("utf-8")
+        text = text.replace('"index": 0,', '"index": 5, "index": 0,', 1)
+        assert '"index": 5, "index": 0,' in text
+        with pytest.raises(kq.SchemaViolationError, match="duplicate key 'index'"):
+            kq.parse_selection_document(text)
 
     def test_unknown_strategy_rejected(self, bruce):
         result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))

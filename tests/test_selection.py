@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
+from kgsqueeze.selection import _pick
 
 from conftest import random_graph
 
@@ -23,6 +24,25 @@ def chain_graph(entropy_spec, labels=("r1", "r2")):
     return kq.build_graph(
         " ".join(f"e{i}" for i in range(n)), labels, entities, candidates
     )
+
+
+def hop_by_hop_relaxation(graph, distances, target, max_depth):
+    """Reference relaxation: rescan eligibility one depth at a time.
+
+    Returns (pool, effective depth, disconnected fallback fired).
+    """
+    deepest = distances.max_finite()
+    depth = max_depth
+    pool = kq.eligible(graph, distances, depth)
+    while len(pool) < target and depth < deepest:
+        depth += 1
+        pool = kq.eligible(graph, distances, depth)
+    fallback = len(pool) < target
+    if fallback:
+        stranded = [i for i in range(len(graph.quadruples)) if i not in pool]
+        stranded.sort(key=lambda i: (graph.quadruples[i].entropy, i))
+        pool = pool + stranded
+    return pool, depth, fallback
 
 
 def brute_force_min_su(graph, pool, size):
@@ -145,6 +165,28 @@ class TestRelaxation:
         assert r.disconnected_fallback
         # the reachable quadruple, then the lower-entropy stranded one
         assert r.selected == (0, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_hop_by_hop_relaxation(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)  # often disconnected
+        distances = kq.all_distances(g, kq.select_initial_node(g))
+        total = len(g.quadruples)
+        for target in range(1, total + 1):
+            ratio = target / total
+            assert kq.quota(ratio, total) == target
+            for max_depth in range(distances.max_finite() + 3):
+                pool, depth, fallback = hop_by_hop_relaxation(
+                    g, distances, target, max_depth
+                )
+                for strategy in kq.STRATEGIES:
+                    config = kq.SelectionConfig(ratio, max_depth, strategy, seed)
+                    r = kq.select(g, config)
+                    assert r.selected == tuple(_pick(g, pool, target, config))
+                    assert r.effective_depth == depth
+                    assert r.relaxation_steps == depth - max_depth
+                    assert r.disconnected_fallback == fallback
 
 
 class TestStrategies:
