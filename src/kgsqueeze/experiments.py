@@ -69,67 +69,6 @@ def _derived_seed(seed: int, grid_index: int, run_index: int) -> int:
     )
 
 
-def _evaluate(
-    graph: ProbabilityGraph,
-    config: SelectionConfig,
-    phi: float,
-) -> tuple[float, float, float, float, float, int, int]:
-    result = select(graph, config)
-    report = similarity(graph, result, verbalize(result, graph), phi)
-    return (
-        report.semantic_uncertainty,
-        report.similarity,
-        report.accuracy,
-        report.completeness,
-        report.theta,
-        result.quota,
-        result.effective_depth,
-    )
-
-
-def _sweep_point(
-    graph: ProbabilityGraph,
-    grid_index: int,
-    ratio: float,
-    strategy: str,
-    depth: int,
-    runs: int,
-    seed: int,
-    phi: float,
-) -> tuple[SweepRow, list[RunRecord]]:
-    if strategy != "random":
-        su, ss, a, c, theta, quota, eff = _evaluate(
-            graph, SelectionConfig(ratio, depth, strategy), phi
-        )
-        row = SweepRow(ratio, strategy, su, ss, a, c, theta, quota, eff, 1)
-        return row, []
-
-    records = []
-    for run_index in range(runs):
-        run_seed = _derived_seed(seed, grid_index, run_index)
-        su, ss, a, c, theta, quota, eff = _evaluate(
-            graph, SelectionConfig(ratio, depth, "random", run_seed), phi
-        )
-        records.append(RunRecord(ratio, run_index, run_seed, su, ss, a, c, theta))
-
-    def mean(values: list[float]) -> float:
-        return fsum(values) / len(values)
-
-    row = SweepRow(
-        K=ratio,
-        strategy="random",
-        SU=mean([r.SU for r in records]),
-        SS=mean([r.SS for r in records]),
-        A=mean([r.A for r in records]),
-        C=mean([r.C for r in records]),
-        theta=mean([r.theta for r in records]),
-        H=quota,
-        effective_depth=eff,
-        runs_averaged=runs,
-    )
-    return row, records
-
-
 def run_sweep(
     graph: ProbabilityGraph,
     k_from: float = 0.1,
@@ -151,14 +90,35 @@ def run_sweep(
         raise ValueError("runs must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    outcomes = [
-        _sweep_point(graph, grid_index, ratio, strategy, depth, runs, seed, phi)
-        for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step))
-        for strategy in STRATEGIES
-    ]
-    rows = sorted((row for row, _ in outcomes), key=lambda r: (r.strategy, r.K))
-    records = sorted(
-        (record for _, recs in outcomes for record in recs),
-        key=lambda r: (r.K, r.run_index),
-    )
+    rows = []
+    records = []
+    for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):
+        for strategy in STRATEGIES:
+            if strategy == "random":
+                run_seeds = [_derived_seed(seed, grid_index, i) for i in range(runs)]
+            else:
+                run_seeds = [None]
+            figures = []
+            for run_index, run_seed in enumerate(run_seeds):
+                result = select(graph, SelectionConfig(ratio, depth, strategy, run_seed))
+                report = similarity(graph, result, verbalize(result, graph), phi)
+                run = (
+                    report.semantic_uncertainty,
+                    report.similarity,
+                    report.accuracy,
+                    report.completeness,
+                    report.theta,
+                )
+                figures.append(run)
+                if strategy == "random":
+                    records.append(RunRecord(ratio, run_index, run_seed, *run))
+            means = [fsum(column) / len(figures) for column in zip(*figures)]
+            rows.append(
+                SweepRow(
+                    ratio, strategy, *means,
+                    result.quota, result.effective_depth, len(figures),
+                )
+            )
+    rows.sort(key=lambda r: (r.strategy, r.K))
+    records.sort(key=lambda r: (r.K, r.run_index))
     return rows, records

@@ -209,7 +209,7 @@ def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
         if e.id in seen:
             raise UnknownEntityError(f"duplicate entity id {e.id!r}")
         seen.add(e.id)
-        if not e.surface:
+        if not e.surface.split():
             raise UnknownEntityError(f"entity {e.id!r} has an empty surface")
         if e.first_token_index is not None and e.first_token_index < 0:
             raise UnknownEntityError(

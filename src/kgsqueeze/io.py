@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 from .errors import (
     MalformedDocumentError,
@@ -95,7 +95,13 @@ def _require_number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolationError(f"{where}: field {key!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = inf
+    if not isfinite(value):
+        raise SchemaViolationError(f"{where}: field {key!r} must be finite")
+    return value
 
 
 def _check_version(doc: dict, where: str) -> None:
@@ -243,6 +249,8 @@ def parse_selection_document(
     if doc.get("seed") is not None:
         seed = _require(doc, "seed", int, "selection")
     ratio = _require_number(doc, "K", "selection")
+    if not 0.0 < ratio <= 1.0:
+        raise SchemaViolationError(f"selection: K must be in (0, 1], got {ratio!r}")
     quota = _require(doc, "H", int, "selection")
     effective_depth = _require(doc, "effective_depth", int, "selection")
     relaxation_steps = _require(doc, "relaxation_steps", int, "selection")

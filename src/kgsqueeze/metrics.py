@@ -52,8 +52,10 @@ def semantic_uncertainty(result: SelectionResult, graph: ProbabilityGraph) -> fl
     return fsum(graph.quadruples[i].entropy for i in result.selected)
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
+def _normalize(text: str, case_insensitive: bool) -> str:
+    """Collapse whitespace runs to single spaces, then casefold if asked."""
+    text = " ".join(text.split())
+    return text.casefold() if case_insensitive else text
 
 
 def count_occurrences(
@@ -63,16 +65,13 @@ def count_occurrences(
 
     Both sides are whitespace-normalized first; matching scans left to
     right, so in "aaa" the surface "aa" occurs once.  Case-sensitive
-    unless asked otherwise.
+    unless asked otherwise.  A surface that is empty after normalization
+    raises ValueError.
     """
-    if not entity_surface:
-        raise ValueError("entity surface must be non-empty")
-    text = _normalize_ws(text)
-    surface = _normalize_ws(entity_surface)
-    if case_insensitive:
-        text = text.casefold()
-        surface = surface.casefold()
-    return text.count(surface)
+    surface = _normalize(entity_surface, case_insensitive)
+    if not surface:
+        raise ValueError("entity surface must contain a non-whitespace character")
+    return _normalize(text, case_insensitive).count(surface)
 
 
 def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
@@ -109,13 +108,12 @@ def _occurrence_table(
     recovered_text: str,
     case_insensitive: bool,
 ) -> dict[str, tuple[int, int]]:
+    original = _normalize(graph.text, case_insensitive)
+    recovered = _normalize(recovered_text, case_insensitive)
     table = {}
     for entity_id in _selected_entity_ids(result, graph):
-        surface = graph.entity(entity_id).surface
-        table[entity_id] = (
-            count_occurrences(graph.text, surface, case_insensitive),
-            count_occurrences(recovered_text, surface, case_insensitive),
-        )
+        surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
+        table[entity_id] = (original.count(surface), recovered.count(surface))
     return table
 
 

@@ -19,7 +19,7 @@ set, so comparisons isolate the selection criterion itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, fsum, isinf, log2
+from math import floor, fsum, isfinite, isinf, log2
 
 import numpy as np
 
@@ -111,9 +111,8 @@ class ChannelBudget:
             self.power,
             self.channel_gain,
             self.noise_power,
-            float(self.bits_per_quadruple),
         )
-        if not all(np.isfinite(values)):
+        if not all(isfinite(value) for value in values):
             raise ValueError("all channel budget fields must be finite")
         if self.noise_power <= 0:
             raise ValueError("noise_power must be positive")
@@ -145,10 +144,18 @@ def budget_to_quota(budget: ChannelBudget, total: int) -> int:
 
     Partial quadruples cannot be transmitted, so the capacity is floored;
     zero is a valid outcome (nothing transmittable), unlike ``quota``.
+    An infinite capacity carries all ``total``.
     """
     if total < 1:
         raise EmptyGraphError("budget_to_quota needs a positive graph size")
-    return min(total, floor(budget.capacity_bits() / budget.bits_per_quadruple))
+    capacity = budget.capacity_bits()
+    if isinf(capacity):
+        return total
+    # Float-int comparison is exact, and it keeps an integer beyond the
+    # float range out of the division below.
+    if capacity < budget.bits_per_quadruple:
+        return 0
+    return min(total, floor(capacity / budget.bits_per_quadruple))
 
 
 def eligible(

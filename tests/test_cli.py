@@ -123,6 +123,21 @@ class TestOutputFiles:
         assert dump.read_bytes().startswith(b"K,run_index,")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "runs.csv"]
 
+    @pytest.mark.parametrize(
+        "output, dump",
+        [("a.csv", "a.csv"), ("./a.csv", "a.csv"), ("a.csv", "d/../a.csv")],
+    )
+    def test_same_file_for_both_outputs_is_usage(
+        self, capsys, tmp_path, monkeypatch, output, dump
+    ):
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        # The input does not exist: the clash is reported before it is read.
+        assert main(["sweep", "--input", "missing.json", "--seed", "1",
+                     "--output", output, "--dump-runs", dump]) == 1
+        assert "different files" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
     def test_select_into_missing_dir(self, capsys, tmp_path):
         assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
                      "--output", str(tmp_path / "missing" / "sel.json")]) == 2
@@ -227,6 +242,17 @@ class TestSelect:
                      "--depth", "1", "--output", str(tmp_path / "s.json")]) == 0
         assert "warning:" in capsys.readouterr().err
 
+    def test_blank_entity_surface_is_data_error(self, tmp_path, capsys):
+        doc = json.loads((FIXTURE_DIR / "bruce.json").read_text())
+        doc["entities"][0]["surface"] = "  "
+        path = tmp_path / "blank.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sel.json"
+        assert main(["select", "--input", str(path), "--k", "0.5",
+                     "--depth", "2", "--output", str(out)]) == 2
+        assert "empty surface" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_default_grid_yields_sixty_rows(self, tmp_path, capsys):
@@ -313,6 +339,17 @@ class TestMetrics:
         assert sensitive["A"] == 0.0
         assert insensitive["A"] > 0.0
 
+    def test_non_finite_selection_figures_are_data_error(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        self.select_to(sel)
+        doc = json.loads(sel.read_text())
+        doc["K"], doc["SU"] = float("nan"), float("inf")
+        sel.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", "--input", BRUCE,
+                     "--selection", str(sel)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_selection_from_other_graph_is_data_error(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         self.select_to(sel)
@@ -350,6 +387,20 @@ class TestBudget:
         argv = list(self.BASE) + ["--graph-size", "10"]
         argv[argv.index("--power") + 1] = "-1"
         assert main(argv) == 1
+
+    def test_quadruple_wider_than_any_float_transmits_nothing(self, capsys):
+        argv = list(self.BASE) + ["--graph-size", "10"]
+        argv[argv.index("--bits-per-quad") + 1] = "1" + "0" * 400
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"H": 0, "K": 0.0, "note": "nothing transmittable"}
+
+    def test_infinite_capacity_carries_the_whole_graph(self, capsys):
+        assert main(["budget", "--time", "1e308", "--bandwidth", "1e308",
+                     "--power", "1e308", "--gain", "1e308", "--noise", "1e-308",
+                     "--bits-per-quad", "400", "--graph-size", "10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"H": 10, "K": 1.0}
 
 
 class TestInstalledEntryPoint:

@@ -161,6 +161,12 @@ class TestBuildGraph:
         with pytest.raises(kq.UnknownEntityError):
             kq.build_graph("a", ("r1", "r2"), entities, [("a", "a2", {"r1": 1.0})])
 
+    @pytest.mark.parametrize("surface", ["", " ", "  ", "\t\n"])
+    def test_blank_surface_rejected(self, surface):
+        entities = [kq.Entity("a", surface, 0), kq.Entity("b", "b", 1)]
+        with pytest.raises(kq.UnknownEntityError, match="empty surface"):
+            kq.build_graph("a b", ("r1", "r2"), entities, [("a", "b", {"r1": 1.0})])
+
     def test_negative_token_index_rejected(self):
         entities = [kq.Entity("a", "a", -1), kq.Entity("b", "b", 0)]
         with pytest.raises(kq.UnknownEntityError):

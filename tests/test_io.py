@@ -219,6 +219,27 @@ class TestSelectionDocuments:
         with pytest.raises(kq.SchemaViolationError, match="disconnected_fallback"):
             kq.parse_selection_document(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("K", float("nan")),
+            ("K", float("inf")),
+            pytest.param("K", 10**400, id="K-huge-int"),
+            ("K", 0),
+            ("K", -0.5),
+            ("K", 1.5),
+            ("SU", float("nan")),
+            ("SU", float("-inf")),
+            pytest.param("SU", -(10**400), id="SU-huge-int"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_figures_rejected(self, bruce, field, value):
+        result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc[field] = value
+        with pytest.raises(kq.SchemaViolationError, match=field):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
     def test_seed_survives_round_trip(self, bruce):
         result = kq.select(bruce, kq.SelectionConfig(0.3, 9, "random", seed=42))
         parsed = kq.parse_selection_document(kq.emit_selection(result, bruce), bruce)

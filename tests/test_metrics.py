@@ -4,7 +4,7 @@ from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
@@ -52,6 +52,51 @@ class TestCountOccurrences:
 
     def test_absent_surface(self):
         assert kq.count_occurrences("x y z", "w") == 0
+
+    @pytest.mark.parametrize("surface", [" ", "  ", "\t\n", "\u2003"])
+    def test_whitespace_only_surface_rejected(self, surface):
+        with pytest.raises(ValueError):
+            kq.count_occurrences("a b c", surface, case_insensitive=True)
+
+
+#: Texts and surfaces over a tiny alphabet, so overlaps, substrings,
+#: case differences and whitespace runs come up often.
+SCORING_TEXT = st.text(alphabet="aAb \t\n", max_size=30)
+SCORING_SURFACE = st.text(alphabet="aAb \t\n", min_size=1, max_size=6).filter(
+    lambda surface: surface.split()
+)
+
+
+class TestOccurrenceTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=SCORING_TEXT,
+        recovered=SCORING_TEXT,
+        surfaces=st.lists(SCORING_SURFACE, min_size=2, max_size=5),
+        case_insensitive=st.booleans(),
+    )
+    @example(text="aaa a", recovered="aa\taaa", surfaces=["aa", "a"],
+             case_insensitive=False)
+    @example(text="A\ta  a\nAA", recovered="a a  A\tA", surfaces=["a a", "A", "aA"],
+             case_insensitive=True)
+    def test_counts_match_reference(self, text, recovered, surfaces, case_insensitive):
+        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+        candidates = [
+            (f"e{i}", f"e{i + 1}", {"r1": 1.0}) for i in range(len(surfaces) - 1)
+        ]
+        graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
+        result = make_result(range(len(candidates)))
+        report = kq.similarity(
+            graph, result, recovered, case_insensitive=case_insensitive
+        )
+        expected = {
+            e.id: (
+                kq.count_occurrences(text, e.surface, case_insensitive),
+                kq.count_occurrences(recovered, e.surface, case_insensitive),
+            )
+            for e in entities
+        }
+        assert report.entity_counts == expected
 
 
 class TestVerbalize:

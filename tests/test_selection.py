@@ -335,6 +335,15 @@ class TestChannelBudget:
         with pytest.raises(ValueError):
             kq.ChannelBudget(float("inf"), 1.0, 1.0, 1.0, 1.0, 400)
 
+    def test_quadruple_wider_than_any_float_transmits_nothing(self):
+        budget = kq.ChannelBudget(1.0, 1000.0, 3.0, 1.0, 1.0, 10**400)
+        assert kq.budget_to_quota(budget, 10) == 0
+
+    def test_infinite_capacity_carries_everything(self):
+        budget = kq.ChannelBudget(1e308, 1e308, 1e308, 1e308, 1e-308, 400)
+        assert budget.capacity_bits() == float("inf")
+        assert kq.budget_to_quota(budget, 10) == 10
+
     def test_empty_graph_rejected(self):
         budget = kq.ChannelBudget(1.0, 1000.0, 3.0, 1.0, 1.0, 400)
         with pytest.raises(kq.EmptyGraphError):
