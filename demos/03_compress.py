@@ -18,7 +18,7 @@ print(f"{len(graph.quadruples)} quadruples, central concept "
       f"{graph.entity(kq.select_initial_node(graph)).surface!r}\n")
 
 for k in (0.2, 0.5, 1.0):
-    result = kq.select_proposed(graph, kq.SelectionConfig(ratio=k, max_depth=2))
+    result = kq.select(graph, kq.SelectionConfig(ratio=k, max_depth=2))
     print(f"K={k}: keep {result.quota} of {len(graph.quadruples)}, "
           f"SU={result.semantic_uncertainty:.4f} bits, "
           f"depth relaxed {result.relaxation_steps}x to {result.effective_depth}")

@@ -14,7 +14,7 @@ import kgsqueeze as kq
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 graph = kq.parse_graph_document((FIXTURES / "bruce.json").read_bytes())
-result = kq.select_proposed(graph, kq.SelectionConfig(ratio=0.4, max_depth=2))
+result = kq.select(graph, kq.SelectionConfig(ratio=0.4, max_depth=2))
 
 recovered = kq.verbalize(result, graph)
 print("recovered text (built-in verbalizer):")

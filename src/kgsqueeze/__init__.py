@@ -23,7 +23,7 @@ from .errors import (
     SelfLoopError,
     UnknownEntityError,
 )
-from .experiments import RunRecord, ratio_grid, run_sweep
+from .experiments import ratio_grid, run_sweep
 from .graph import (
     Entity,
     ProbabilityGraph,
@@ -34,6 +34,7 @@ from .graph import (
 )
 from .io import (
     SWEEP_HEADER,
+    RunRecord,
     SweepRow,
     emit_selection,
     emit_sweep_table,
@@ -60,8 +61,6 @@ from .selection import (
     eligible,
     quota,
     select,
-    select_baseline,
-    select_proposed,
 )
 
 __version__ = "0.1.0"
@@ -108,9 +107,7 @@ __all__ = [
     "relation_entropy",
     "run_sweep",
     "select",
-    "select_baseline",
     "select_initial_node",
-    "select_proposed",
     "semantic_uncertainty",
     "serialize_graph",
     "similarity",

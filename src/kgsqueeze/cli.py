@@ -22,6 +22,7 @@ from .errors import KgsqueezeError
 from .experiments import ratio_grid, run_sweep
 from .graph import ProbabilityGraph
 from .io import (
+    emit_run_records,
     emit_selection,
     emit_sweep_table,
     parse_graph_document,
@@ -255,13 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     outputs = [(args.output, emit_sweep_table(rows))]
     if args.dump_runs is not None:
-        lines = ["K,run_index,seed,SU,SS,A,C,theta"]
-        lines += [
-            f"{r.K:.9g},{r.run_index},{r.seed},{r.SU:.9g},{r.SS:.9g},"
-            f"{r.A:.9g},{r.C:.9g},{r.theta:.9g}"
-            for r in records
-        ]
-        outputs.append((args.dump_runs, ("\n".join(lines) + "\n").encode("utf-8")))
+        outputs.append((args.dump_runs, emit_run_records(records)))
     _write_outputs(outputs)
     print(f"rows={len(rows)} seed={seed}", file=sys.stderr)
     return 0

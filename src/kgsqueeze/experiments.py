@@ -12,13 +12,12 @@ only so existing callers keep working.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor, fsum
 
 import numpy as np
 
 from .graph import ProbabilityGraph
-from .io import SweepRow
+from .io import RunRecord, SweepRow
 from .metrics import similarity, verbalize
 from .selection import STRATEGIES, SelectionConfig, select
 
@@ -27,20 +26,6 @@ _GRID_EPS = 1e-9
 
 #: Largest ratio grid a sweep accepts; finer steps are refused up front.
 MAX_GRID_POINTS = 10_000
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One individual random-baseline run, for auditing the averages."""
-
-    K: float
-    run_index: int
-    seed: int
-    SU: float
-    SS: float
-    A: float
-    C: float
-    theta: float
 
 
 def ratio_grid(k_from: float, k_to: float, k_step: float) -> list[float]:

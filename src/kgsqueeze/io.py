@@ -4,8 +4,8 @@ Graphs travel as JSON documents with an explicit relation set and sparse
 per-candidate confidence maps (missing labels are zero), the shape
 relation-extraction toolkits naturally emit.  Selections are JSON too,
 carrying both the chosen indices and the human-readable quadruples.
-Sweep results are CSV with a fixed header so any plotting tool can
-consume them and golden files diff cleanly.
+Sweep results and per-run figures are CSV with fixed headers so any
+plotting tool can consume them and golden files diff cleanly.
 
 Parsers map every malformed input to a structured error; they never let
 a raw decoding exception escape.  Emitters are deterministic: equal
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import fsum, inf, isclose, isfinite
 
 from .errors import (
     MalformedDocumentError,
@@ -24,12 +24,15 @@ from .errors import (
     SelectionMismatchError,
 )
 from .graph import Entity, ProbabilityGraph, build_graph
-from .selection import STRATEGIES, SelectionResult
+from .selection import STRATEGIES, SelectionResult, quota
 
 SCHEMA_VERSION = 1
 
 #: Fixed column order of the sweep CSV.
 SWEEP_HEADER = "K,strategy,SU,SS,A,C,theta,H,effective_depth,runs_averaged"
+
+#: Fixed column order of the per-run random-baseline CSV.
+RUNS_HEADER = "K,run_index,seed,SU,SS,A,C,theta"
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,20 @@ class SweepRow:
     H: int
     effective_depth: int
     runs_averaged: int
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One individual random-baseline run, for auditing the averages."""
+
+    K: float
+    run_index: int
+    seed: int
+    SU: float
+    SS: float
+    A: float
+    C: float
+    theta: float
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -235,8 +252,9 @@ def parse_selection_document(
     """Parse a selection document; optionally validate it against a graph.
 
     With a graph, every listed quadruple must match the graph at its
-    index (surfaces, relation, probability, entropy within 1e-9), else
-    SelectionMismatchError.
+    index (surfaces, relation, entropy within 1e-9), ``H`` must equal
+    ``quota(K, len(graph.quadruples))`` and ``SU`` the sum of the
+    selected entropies (within 1e-9), else SelectionMismatchError.
     """
     doc = _decode(data)
     if not isinstance(doc, dict):
@@ -251,7 +269,7 @@ def parse_selection_document(
     ratio = _require_number(doc, "K", "selection")
     if not 0.0 < ratio <= 1.0:
         raise SchemaViolationError(f"selection: K must be in (0, 1], got {ratio!r}")
-    quota = _require(doc, "H", int, "selection")
+    size = _require(doc, "H", int, "selection")
     effective_depth = _require(doc, "effective_depth", int, "selection")
     relaxation_steps = _require(doc, "relaxation_steps", int, "selection")
     fallback = doc.get("disconnected_fallback")
@@ -266,14 +284,14 @@ def parse_selection_document(
         if not isinstance(item, dict):
             raise SchemaViolationError(f"{where} must be an object")
         indices.append(_require(item, "index", int, where))
-    if len(indices) != quota or len(set(indices)) != len(indices):
+    if len(indices) != size or len(set(indices)) != len(indices):
         raise SchemaViolationError(
             "selection: selected entries must be distinct and H of them"
         )
 
     result = SelectionResult(
         selected=tuple(indices),
-        quota=quota,
+        quota=size,
         effective_depth=effective_depth,
         semantic_uncertainty=uncertainty,
         relaxation_steps=relaxation_steps,
@@ -291,7 +309,7 @@ def _validate_against_graph(
     result: SelectionResult, raw_selected: list, graph: ProbabilityGraph
 ) -> None:
     total = len(graph.quadruples)
-    for item in raw_selected:
+    for n, item in enumerate(raw_selected):
         i = item["index"]
         if not 0 <= i < total:
             raise SelectionMismatchError(
@@ -309,17 +327,29 @@ def _validate_against_graph(
                     f"selected index {i}: {key} {item[key]!r} does not match "
                     f"the graph ({value!r})"
                 )
-        if "entropy" in item and abs(float(item["entropy"]) - q.entropy) > 1e-9:
-            raise SelectionMismatchError(
-                f"selected index {i}: entropy {item['entropy']!r} does not "
-                f"match the graph ({q.entropy!r})"
-            )
+        if "entropy" in item:
+            entropy = _require_number(item, "entropy", f"selected[{n}]")
+            if abs(entropy - q.entropy) > 1e-9:
+                raise SelectionMismatchError(
+                    f"selected index {i}: entropy {item['entropy']!r} does not "
+                    f"match the graph ({q.entropy!r})"
+                )
+    size = quota(result.ratio, total)
+    if result.quota != size:
+        raise SelectionMismatchError(
+            f"H {result.quota} does not match K {result.ratio!r} (expected {size})"
+        )
+    su = fsum(graph.quadruples[i].entropy for i in result.selected)
+    if not isclose(result.semantic_uncertainty, su, rel_tol=1e-9, abs_tol=1e-9):
+        raise SelectionMismatchError(
+            f"SU {result.semantic_uncertainty!r} does not match the graph ({su!r})"
+        )
 
 
 def _figure(value: float) -> str:
     """Reals with 9 significant digits, locale-independent."""
     if not isfinite(value):
-        raise ValueError(f"non-finite value in sweep table: {value!r}")
+        raise ValueError(f"non-finite value in a CSV table: {value!r}")
     return format(value, ".9g")
 
 
@@ -345,4 +375,13 @@ def emit_sweep_table(rows: list[SweepRow]) -> bytes:
                 )
             )
         )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def emit_run_records(records: list[RunRecord]) -> bytes:
+    """Random-baseline run records to CSV bytes, in the order given."""
+    lines = [RUNS_HEADER]
+    for r in records:
+        figures = (_figure(v) for v in (r.SU, r.SS, r.A, r.C, r.theta))
+        lines.append(",".join((_figure(r.K), str(r.run_index), str(r.seed), *figures)))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -151,9 +151,9 @@ def budget_to_quota(budget: ChannelBudget, total: int) -> int:
     capacity = budget.capacity_bits()
     if isinf(capacity):
         return total
-    # Float-int comparison is exact, and it keeps an integer beyond the
-    # float range out of the division below.
-    if capacity < budget.bits_per_quadruple:
+    # Float-int comparison is exact and keeps an integer beyond the float
+    # range out of the division below; a NaN capacity (0 * inf) carries nothing.
+    if not capacity >= budget.bits_per_quadruple:
         return 0
     return min(total, floor(capacity / budget.bits_per_quadruple))
 
@@ -194,19 +194,18 @@ def _candidates_with_relaxation(
     disconnected fallback fired).
     """
     d = distances.distance
-    reach = sorted(max(d[q.head], d[q.tail]) for q in graph.quadruples)
-    needed = reach[target - 1]
+    reach = [max(d[q.head], d[q.tail]) for q in graph.quadruples]
+    needed = sorted(reach)[target - 1]
     if isinf(needed):
         needed = distances.max_finite()
     depth = max(max_depth, needed)
-    pool = eligible(graph, distances, depth)
+    pool = [i for i, r in enumerate(reach) if r <= depth]
 
     fallback = len(pool) < target
     if fallback:
-        inside = set(pool)
-        stranded = [i for i in range(len(graph.quadruples)) if i not in inside]
+        stranded = [i for i, r in enumerate(reach) if r > depth]
         stranded.sort(key=lambda i: (graph.quadruples[i].entropy, i))
-        pool = pool + stranded
+        pool += stranded
     return pool, depth, depth - max_depth, fallback
 
 
@@ -242,7 +241,24 @@ def _pick(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _run(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
+def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
+    """Pick ``quota(ratio, len(graph))`` quadruples with the configured strategy.
+
+    Quota and eligibility, with relaxation and the disconnected fallback,
+    are the same for every strategy; they differ only in which quota-sized
+    subset of the eligible pool they take:
+
+    - ``proposed`` (entropy-greedy): the smallest-entropy quadruples, the
+      subset of minimum total entropy; ties break on input order and
+      indices come back smallest entropy first;
+    - ``random``: uniform subset from a generator seeded with
+      ``config.seed`` (required), reported in input order;
+    - ``entity_freq_desc`` / ``entity_freq_asc``: by summed endpoint
+      occurrence counts over the whole graph, descending/ascending, with
+      input-order ties;
+    - ``order_front`` / ``order_back``: the first / last quota in input
+      order (``order_back``'s indices come back in reverse).
+    """
     if not graph.quadruples:
         raise EmptyGraphError("cannot select from an empty graph")
     target = quota(config.ratio, len(graph.quadruples))
@@ -262,46 +278,3 @@ def _run(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
         strategy=config.strategy,
         seed=config.seed,
     )
-
-
-def select_proposed(
-    graph: ProbabilityGraph, config: SelectionConfig
-) -> SelectionResult:
-    """Entropy-greedy selection: the quota of smallest-entropy quadruples.
-
-    Among the eligible set (after any depth relaxation) this minimizes
-    the total entropy over all subsets of quota size; entropy ties break
-    on input order.  Selected indices come back smallest entropy first.
-    """
-    if config.strategy != "proposed":
-        raise ValueError("select_proposed requires strategy='proposed'")
-    return _run(graph, config)
-
-
-def select_baseline(
-    graph: ProbabilityGraph, config: SelectionConfig
-) -> SelectionResult:
-    """Run one of the five baseline strategies.
-
-    Quota and eligibility (including relaxation and the disconnected
-    fallback) are computed exactly as in :func:`select_proposed`; the
-    strategies differ only in which quota-sized subset of the eligible
-    pool they take:
-
-    - ``random``: uniform subset from a generator seeded with
-      ``config.seed`` (required), reported in input order;
-    - ``entity_freq_desc`` / ``entity_freq_asc``: quadruples scored by
-      the summed endpoint occurrence counts over the whole graph, sorted
-      descending/ascending with input-order ties;
-    - ``order_front`` / ``order_back``: the first / last quota in input
-      order (``order_back`` picks from the back, so its indices come
-      back in reverse).
-    """
-    if config.strategy == "proposed":
-        raise ValueError("select_baseline requires a non-proposed strategy")
-    return _run(graph, config)
-
-
-def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
-    """Dispatch to the configured strategy."""
-    return _run(graph, config)

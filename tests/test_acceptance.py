@@ -147,7 +147,7 @@ def test_criterion_03_selection_optimality(verdict):
         config = kq.SelectionConfig(
             float(rng.uniform(0.05, 1.0)), int(rng.integers(0, 4))
         )
-        result = kq.select_proposed(graph, config)
+        result = kq.select(graph, config)
         if result.disconnected_fallback:
             continue
         distances = kq.all_distances(graph, kq.select_initial_node(graph))
@@ -181,7 +181,7 @@ def test_criterion_04_dominance(verdict):
     comparisons = 0
     for graph in graphs:
         for k in K_GRID:
-            proposed = kq.select_proposed(graph, kq.SelectionConfig(k, 2))
+            proposed = kq.select(graph, kq.SelectionConfig(k, 2))
             rivals = []
             for strategy in BASELINES:
                 seeds = (1, 2, 3) if strategy == "random" else (None,)
@@ -227,7 +227,7 @@ def test_criterion_05_monotonicity_and_nesting(verdict):
         previous_su = 0.0
         for h in range(1, total + 1):
             ratio = 1.0 if h == total else (h + 0.4) / total
-            result = kq.select_proposed(graph, kq.SelectionConfig(ratio, depth))
+            result = kq.select(graph, kq.SelectionConfig(ratio, depth))
             if result.disconnected_fallback:
                 fallbacks += 1
             if result.quota != h:
@@ -278,7 +278,7 @@ def test_criterion_06_metrics_algebra(verdict, bruce):
         if kq.completeness(g_a, full, text_b) != kq.accuracy(g_b, full, text_a):
             swap_exact = False
 
-    result = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 9))
+    result = kq.select(bruce, kq.SelectionConfig(0.5, 9))
     recovered = kq.verbalize(result, bruce)
     at_zero = kq.similarity(bruce, result, recovered, phi=0.0)
     at_one = kq.similarity(bruce, result, recovered, phi=1.0)
@@ -286,7 +286,7 @@ def test_criterion_06_metrics_algebra(verdict, bruce):
     one_err = abs(at_one.similarity - at_one.theta * at_one.completeness)
 
     one_hot = graph_with("alpha beta gamma delta")
-    all_of_it = kq.select_proposed(one_hot, kq.SelectionConfig(1.0, 3))
+    all_of_it = kq.select(one_hot, kq.SelectionConfig(1.0, 3))
     # restrict to the two one-hot quadruples so theta is exactly H
     two = kq.selection.SelectionResult(
         selected=(0, 1), quota=2, effective_depth=0, semantic_uncertainty=0.0,
@@ -460,14 +460,63 @@ def test_criterion_09_robustness(verdict):
         == path.read_bytes()
         for path in sorted(FIXTURE_DIR.glob("*.json"))
     )
+
+    # Selection documents edited by hand: each edit must be caught against
+    # the graph, while every document select emits must pass.
+    def entropy_to(value):
+        return lambda doc: doc["selected"][0].__setitem__("entropy", value)
+
+    def drop_last(doc):
+        dropped = doc["selected"].pop()
+        doc["H"] -= 1
+        doc["SU"] -= dropped["entropy"]
+
+    edits = [
+        lambda doc: doc.__setitem__("K", 1.0),  # H no longer quota(K, G)
+        drop_last,  # consistent H and SU, but H is not quota(K, G)
+        lambda doc: doc.__setitem__("SU", doc["SU"] + 5),
+        lambda doc: doc.__setitem__("SU", doc["SU"] * (1 + 1e-6)),
+        entropy_to([1]),
+        entropy_to("0.5"),
+        entropy_to(None),
+    ]
+    emitted_rejected = 0
+    edits_caught = 0
+    edits_missed = 0
+    for graph in all_fixtures():
+        for strategy, ratio in itertools.product(kq.STRATEGIES, (0.3, 0.5)):
+            result = kq.select(graph, kq.SelectionConfig(ratio, 2, strategy, 5))
+            blob = kq.emit_selection(result, graph)
+            try:
+                kq.parse_selection_document(blob, graph)
+            except Exception:
+                emitted_rejected += 1
+            for edit in edits:
+                doc = json.loads(blob)
+                edit(doc)
+                try:
+                    kq.parse_selection_document(json.dumps(doc), graph)
+                    edits_missed += 1
+                except kq.KgsqueezeError:
+                    edits_caught += 1
+                except Exception:
+                    crashes += 1
     elapsed = time.perf_counter() - start
-    ok = crashes == 0 and round_trip_ok and structured > 5000
+    ok = (
+        crashes == 0
+        and round_trip_ok
+        and structured > 5000
+        and edits_missed == 0
+        and emitted_rejected == 0
+    )
     verdict(
         9,
         ok,
         f"10000 malformed documents: {structured} structured errors, "
         f"{parsed_ok} benign mutations parsed, {crashes} crashes; fixture "
-        f"round-trips byte-identical, {elapsed:.2f}s",
+        f"round-trips byte-identical; {edits_caught} edited selection "
+        f"documents caught, {edits_missed} missed, {emitted_rejected} emitted "
+        f"ones rejected, {elapsed:.2f}s",
     )
 
 

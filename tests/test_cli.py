@@ -350,6 +350,37 @@ class TestMetrics:
                      "--selection", str(sel)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_non_numeric_entropy_is_data_error(self, tmp_path, capsys):
+        sel = tmp_path / "sel.json"
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", str(sel)]) == 0
+        doc = json.loads(sel.read_text())
+        doc["selected"][0]["entropy"] = [1]
+        sel.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", "--input", BRUCE,
+                     "--selection", str(sel)]) == 2
+        assert "field 'entropy' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, message", [("K", "H 5 does not match"),
+                                                ("SU", "SU ")])
+    def test_wrong_quota_or_uncertainty_is_data_error(
+        self, tmp_path, capsys, field, message
+    ):
+        sel = tmp_path / "sel.json"
+        self.select_to(sel)
+        doc = json.loads(sel.read_text())
+        if field == "K":
+            doc["K"] = 0.1
+        else:
+            doc["SU"] += 5
+        sel.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", "--input", BRUCE,
+                     "--selection", str(sel)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_selection_from_other_graph_is_data_error(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         self.select_to(sel)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import kgsqueeze as kq
+from kgsqueeze.io import emit_run_records
 
 from conftest import FIXTURE_DIR
 
@@ -155,17 +156,17 @@ class TestGraphDocumentErrors:
 
 class TestSelectionDocuments:
     def test_round_trip_equals_original_result(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 2))
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
         blob = kq.emit_selection(result, bruce)
         parsed = kq.parse_selection_document(blob, bruce)
         assert parsed == result
 
     def test_emission_is_deterministic(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.4, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.4, 9))
         assert kq.emit_selection(result, bruce) == kq.emit_selection(result, bruce)
 
     def test_parse_without_graph_skips_validation(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.2, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["selected"][0]["head"] = "Someone Else"
         kq.parse_selection_document(json.dumps(doc))  # no error
@@ -173,21 +174,21 @@ class TestSelectionDocuments:
             kq.parse_selection_document(json.dumps(doc), bruce)
 
     def test_index_out_of_range(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.2, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["selected"][0]["index"] = 99
         with pytest.raises(kq.SelectionMismatchError, match="out of range"):
             kq.parse_selection_document(json.dumps(doc), bruce)
 
     def test_entropy_drift_detected(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.2, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["selected"][0]["entropy"] += 1e-6
         with pytest.raises(kq.SelectionMismatchError, match="entropy"):
             kq.parse_selection_document(json.dumps(doc), bruce)
 
     def test_duplicate_or_miscounted_indices(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["selected"][1]["index"] = doc["selected"][0]["index"]
         with pytest.raises(kq.SchemaViolationError, match="distinct"):
@@ -198,7 +199,7 @@ class TestSelectionDocuments:
             kq.parse_selection_document(json.dumps(doc))
 
     def test_duplicate_key_rejected(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.2, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
         text = kq.emit_selection(result, bruce).decode("utf-8")
         text = text.replace('"index": 0,', '"index": 5, "index": 0,', 1)
         assert '"index": 5, "index": 0,' in text
@@ -206,14 +207,14 @@ class TestSelectionDocuments:
             kq.parse_selection_document(text)
 
     def test_unknown_strategy_rejected(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["strategy"] = "greedy"
         with pytest.raises(kq.SchemaViolationError, match="strategy"):
             kq.parse_selection_document(json.dumps(doc))
 
     def test_fallback_flag_must_be_bool(self, bruce):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["disconnected_fallback"] = "no"
         with pytest.raises(kq.SchemaViolationError, match="disconnected_fallback"):
@@ -234,11 +235,51 @@ class TestSelectionDocuments:
         ],
     )
     def test_non_finite_or_out_of_range_figures_rejected(self, bruce, field, value):
-        result = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc[field] = value
         with pytest.raises(kq.SchemaViolationError, match=field):
             kq.parse_selection_document(json.dumps(doc), bruce)
+
+    @pytest.mark.parametrize(
+        "entropy", [[1], "0.5", None, True, float("nan")], ids=repr
+    )
+    def test_non_numeric_entropy_rejected(self, bruce, entropy):
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["selected"][0]["entropy"] = entropy
+        with pytest.raises(kq.SchemaViolationError, match=r"selected\[0\].*entropy"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
+    def test_quota_must_match_ratio(self, bruce):
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["K"] = 0.1
+        kq.parse_selection_document(json.dumps(doc))  # no graph, no check
+        with pytest.raises(kq.SelectionMismatchError, match="H 5 does not match"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+        doc = json.loads(kq.emit_selection(result, bruce))
+        dropped = doc["selected"].pop()
+        doc["H"] -= 1
+        doc["SU"] -= dropped["entropy"]
+        with pytest.raises(kq.SelectionMismatchError, match="H 4 does not match"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 5.0), (1.0 + 1e-6, 0.0)])
+    def test_uncertainty_must_match_selected_entropies(self, bruce, scale, shift):
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["SU"] = doc["SU"] * scale + shift
+        kq.parse_selection_document(json.dumps(doc))  # no graph, no check
+        with pytest.raises(kq.SelectionMismatchError, match="SU"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
+    def test_uncertainty_within_tolerance_accepted(self, bruce):
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["SU"] += 1e-12
+        parsed = kq.parse_selection_document(json.dumps(doc), bruce)
+        assert parsed.semantic_uncertainty == doc["SU"]
 
     def test_seed_survives_round_trip(self, bruce):
         result = kq.select(bruce, kq.SelectionConfig(0.3, 9, "random", seed=42))
@@ -305,3 +346,23 @@ class TestSweepTable:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             kq.emit_sweep_table([self.row(SU=float("nan"))])
+
+
+class TestRunRecords:
+    def test_header_order_and_figures(self):
+        records = [
+            kq.RunRecord(0.2, 0, 17, 3.9297256920095949, 1 / 3, 2 / 3, 1.0, 0.5),
+            kq.RunRecord(0.1, 1, 2**63, 1.0, 0.0, 0.25, 0.125, 1e-12),
+        ]
+        assert emit_run_records(records) == (
+            b"K,run_index,seed,SU,SS,A,C,theta\n"
+            b"0.2,0,17,3.92972569,0.333333333,0.666666667,1,0.5\n"
+            b"0.1,1,9223372036854775808,1,0,0.25,0.125,1e-12\n"
+        )
+
+    def test_no_records_is_header_only(self):
+        assert emit_run_records([]) == b"K,run_index,seed,SU,SS,A,C,theta\n"
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            emit_run_records([kq.RunRecord(0.1, 0, 1, float("nan"), 0, 0, 0, 0)])

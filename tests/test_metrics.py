@@ -177,7 +177,7 @@ class TestAccuracyCompleteness:
 
 class TestSimilarity:
     def test_phi_limits(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 9))
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
         recovered = kq.verbalize(r, bruce)
         at_zero = kq.similarity(bruce, r, recovered, phi=0.0)
         at_one = kq.similarity(bruce, r, recovered, phi=1.0)
@@ -185,7 +185,7 @@ class TestSimilarity:
         assert abs(at_one.similarity - at_one.theta * at_one.completeness) <= 1e-12
 
     def test_equal_ratios_collapse_the_weighting(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 9))
+        r = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         recovered = bruce.text
         for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
             report = kq.similarity(bruce, r, recovered, phi=phi)
@@ -201,7 +201,7 @@ class TestSimilarity:
                 ("beta", "gamma", {"r2": 1.0}),
             ],
         )
-        r = kq.select_proposed(g, kq.SelectionConfig(1.0, 2))
+        r = kq.select(g, kq.SelectionConfig(1.0, 2))
         recovered = "alpha beta gamma"
         report = kq.similarity(g, r, recovered)
         assert report.accuracy == report.completeness == 1.0
@@ -210,7 +210,7 @@ class TestSimilarity:
         assert report.semantic_uncertainty == 0.0
 
     def test_phi_validation(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 9))
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
         for phi in (-0.1, 1.0000001, float("nan")):
             with pytest.raises(kq.InvalidPhiError):
                 kq.similarity(bruce, r, "text", phi=phi)
@@ -225,7 +225,7 @@ class TestSimilarity:
         assert report.phi == 0.5
 
     def test_theta_is_summed_top_probability(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 9))
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
         report = kq.similarity(bruce, r, bruce.text)
         expected = fsum(
             bruce.quadruples[i].top_probability for i in r.selected
@@ -233,7 +233,7 @@ class TestSimilarity:
         assert report.theta == expected
 
     def test_semantic_uncertainty_matches_helper(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.7, 9))
+        r = kq.select(bruce, kq.SelectionConfig(0.7, 9))
         assert kq.semantic_uncertainty(r, bruce) == fsum(
             bruce.quadruples[i].entropy for i in r.selected
         )
@@ -246,7 +246,7 @@ class TestSimilarity:
     def test_ratios_and_score_stay_bounded(self, seed, phi):
         rng = np.random.default_rng(seed)
         g = random_graph(rng, max_entities=8, max_quadruples=10)
-        r = kq.select_proposed(
+        r = kq.select(
             g, kq.SelectionConfig(float(rng.uniform(0.1, 1.0)), 3)
         )
         report = kq.similarity(g, r, kq.verbalize(r, g), phi=phi)

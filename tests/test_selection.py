@@ -109,7 +109,7 @@ class TestEligibility:
 
 class TestRelaxation:
     def test_depth_relaxes_until_quota_met(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.5, 2))
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 2))
         assert r.quota == 5
         assert r.effective_depth == 4
         assert r.relaxation_steps == 2
@@ -117,13 +117,13 @@ class TestRelaxation:
         assert r.selected == (0, 1, 2, 3, 4)
 
     def test_no_relaxation_when_pool_is_large_enough(self, bruce):
-        r = kq.select_proposed(bruce, kq.SelectionConfig(0.3, 2))
+        r = kq.select(bruce, kq.SelectionConfig(0.3, 2))
         assert r.effective_depth == 2
         assert r.relaxation_steps == 0
         assert r.selected == (0, 1, 2)
 
     def test_depth_zero_relaxes_to_one(self, hangzhou):
-        r = kq.select_proposed(hangzhou, kq.SelectionConfig(0.1, 0))
+        r = kq.select(hangzhou, kq.SelectionConfig(0.1, 0))
         assert r.quota == 1
         assert r.effective_depth == 1
         assert r.relaxation_steps == 1
@@ -141,10 +141,10 @@ class TestRelaxation:
                 ("x", "y", {"r1": 0.9, "r2": 0.1}),
             ],
         )
-        full = kq.select_proposed(g, kq.SelectionConfig(1.0, 1))
+        full = kq.select(g, kq.SelectionConfig(1.0, 1))
         assert full.disconnected_fallback
         assert set(full.selected) == {0, 1, 2}
-        partial = kq.select_proposed(g, kq.SelectionConfig(0.67, 1))
+        partial = kq.select(g, kq.SelectionConfig(0.67, 1))
         assert partial.quota == 2
         assert not partial.disconnected_fallback
         assert set(partial.selected) == {0, 1}
@@ -161,7 +161,7 @@ class TestRelaxation:
                 ("w", "z", {"r1": 0.9, "r2": 0.1}),   # less than 1 bit
             ],
         )
-        r = kq.select_proposed(g, kq.SelectionConfig(0.67, 1))
+        r = kq.select(g, kq.SelectionConfig(0.67, 1))
         assert r.disconnected_fallback
         # the reachable quadruple, then the lower-entropy stranded one
         assert r.selected == (0, 2)
@@ -191,7 +191,7 @@ class TestRelaxation:
 
 class TestStrategies:
     def test_proposed_takes_smallest_entropies(self, hangzhou):
-        r = kq.select_proposed(hangzhou, kq.SelectionConfig(0.25, 3))
+        r = kq.select(hangzhou, kq.SelectionConfig(0.25, 3))
         # two smallest entropies overall: quads 3 (0.194) and 7 (0.402)
         assert r.selected == (3, 7)
         assert r.semantic_uncertainty == fsum(
@@ -200,21 +200,21 @@ class TestStrategies:
 
     def test_entropy_tie_breaks_on_input_order(self):
         g = chain_graph([{"r1": 1.0}, {"r2": 1.0}, {"r1": 0.5, "r2": 0.5}])
-        r = kq.select_proposed(g, kq.SelectionConfig(0.34, 99))
+        r = kq.select(g, kq.SelectionConfig(0.34, 99))
         assert r.selected == (0,)
 
     def test_random_requires_seed(self, bruce):
         with pytest.raises(kq.MissingSeedError):
-            kq.select_baseline(bruce, kq.SelectionConfig(0.5, 9, "random"))
+            kq.select(bruce, kq.SelectionConfig(0.5, 9, "random"))
 
     def test_random_is_reproducible_and_uniformish(self, bruce):
         cfg = kq.SelectionConfig(0.3, 9, "random", seed=11)
-        first = kq.select_baseline(bruce, cfg)
-        second = kq.select_baseline(bruce, cfg)
+        first = kq.select(bruce, cfg)
+        second = kq.select(bruce, cfg)
         assert first.selected == second.selected
-        other = kq.select_baseline(bruce, kq.SelectionConfig(0.3, 9, "random", seed=12))
+        other = kq.select(bruce, kq.SelectionConfig(0.3, 9, "random", seed=12))
         seen = {
-            kq.select_baseline(
+            kq.select(
                 bruce, kq.SelectionConfig(0.3, 9, "random", seed=s)
             ).selected
             for s in range(40)
@@ -223,11 +223,11 @@ class TestStrategies:
         assert other.quota == 3
 
     def test_random_indices_come_back_sorted(self, bruce):
-        r = kq.select_baseline(bruce, kq.SelectionConfig(0.5, 9, "random", seed=3))
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9, "random", seed=3))
         assert list(r.selected) == sorted(r.selected)
 
     def test_entity_freq_desc_prefers_busy_endpoints(self, hangzhou):
-        r = kq.select_baseline(
+        r = kq.select(
             hangzhou, kq.SelectionConfig(0.25, 3, "entity_freq_desc")
         )
         # endpoint sums: quads 1 and 5 touch hangzhou(5) plus a count-2
@@ -235,7 +235,7 @@ class TestStrategies:
         assert r.selected == (1, 5)
 
     def test_entity_freq_asc_prefers_rare_endpoints(self, hangzhou):
-        r = kq.select_baseline(
+        r = kq.select(
             hangzhou, kq.SelectionConfig(0.25, 3, "entity_freq_asc")
         )
         # smallest endpoint sums: quad 3 (4), then quad 2 (5, earlier than
@@ -243,16 +243,10 @@ class TestStrategies:
         assert r.selected == (3, 2)
 
     def test_order_front_and_back(self, bruce):
-        front = kq.select_baseline(bruce, kq.SelectionConfig(0.3, 9, "order_front"))
-        back = kq.select_baseline(bruce, kq.SelectionConfig(0.3, 9, "order_back"))
+        front = kq.select(bruce, kq.SelectionConfig(0.3, 9, "order_front"))
+        back = kq.select(bruce, kq.SelectionConfig(0.3, 9, "order_back"))
         assert front.selected == (0, 1, 2)
         assert back.selected == (9, 8, 7)
-
-    def test_dispatch_guards(self, bruce):
-        with pytest.raises(ValueError):
-            kq.select_proposed(bruce, kq.SelectionConfig(0.5, 2, "random", seed=1))
-        with pytest.raises(ValueError):
-            kq.select_baseline(bruce, kq.SelectionConfig(0.5, 2))
 
     def test_all_strategies_share_quota_and_depth(self, hangzhou):
         results = {}
@@ -277,7 +271,7 @@ class TestOptimality:
             g = random_graph(rng, max_entities=8, max_quadruples=12)
             ratio = float(rng.uniform(0.05, 1.0))
             depth = int(rng.integers(0, 4))
-            r = kq.select_proposed(g, kq.SelectionConfig(ratio, depth))
+            r = kq.select(g, kq.SelectionConfig(ratio, depth))
             distances = kq.all_distances(g, kq.select_initial_node(g))
             pool = kq.eligible(g, distances, r.effective_depth)
             if r.disconnected_fallback:
@@ -296,7 +290,7 @@ class TestOptimality:
         previous_su = 0.0
         total = len(g.quadruples)
         for quota_target in range(1, total + 1):
-            r = kq.select_proposed(g, kq.SelectionConfig(quota_target / total, depth))
+            r = kq.select(g, kq.SelectionConfig(quota_target / total, depth))
             current = set(r.selected)
             assert previous <= current
             assert r.semantic_uncertainty >= previous_su - 1e-12
@@ -343,6 +337,13 @@ class TestChannelBudget:
         budget = kq.ChannelBudget(1e308, 1e308, 1e308, 1e308, 1e-308, 400)
         assert budget.capacity_bits() == float("inf")
         assert kq.budget_to_quota(budget, 10) == 10
+
+    @pytest.mark.parametrize("time, bandwidth", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_time_or_bandwidth_on_infinite_snr_carries_nothing(
+        self, time, bandwidth
+    ):
+        budget = kq.ChannelBudget(time, bandwidth, 1e308, 1e308, 1e-308, 400)
+        assert kq.budget_to_quota(budget, 10) == 0
 
     def test_empty_graph_rejected(self):
         budget = kq.ChannelBudget(1.0, 1000.0, 3.0, 1.0, 1.0, 400)
