@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -171,24 +172,37 @@ def _read_graph(path: str) -> ProbabilityGraph:
 def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
     """Write every (path, data) pair, or leave every path as it was.
 
-    Each file is first written to a temporary file beside its target;
-    only once all of them are written do they replace their targets.
+    A symlink is followed, so the file it names is written.  Each file is
+    first written to a temporary file beside it; only once all of them
+    are written, and no target is a directory, do they replace their
+    targets.  An existing target that is not a regular file (a FIFO or a
+    device) is written in place instead, just before the replacements.
     A path of None means stdout.
     """
-    staged: list[tuple[str, str]] = []
+    staged: list[tuple[str, str, str]] = []
+    in_place: list[tuple[str, bytes]] = []
     try:
         for i, (path, data) in enumerate(outputs):
             if path is None:
                 continue
-            directory, name = os.path.split(path)
+            real = os.path.realpath(path)
+            if os.path.isdir(real):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if os.path.exists(real) and not os.path.isfile(real):
+                in_place.append((path, data))
+                continue
+            directory, name = os.path.split(real)
             temp = os.path.join(directory, f".{name}.{os.getpid()}-{i}.tmp")
             with open(temp, "xb") as handle:
-                staged.append((temp, path))
+                staged.append((temp, real, path))
                 handle.write(data)
-        for temp, path in staged:
-            os.replace(temp, path)
+        for path, data in in_place:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        for temp, real, path in staged:
+            os.replace(temp, real)
     except OSError as exc:
-        for temp, _ in staged:
+        for temp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
         reason = exc.strerror or exc

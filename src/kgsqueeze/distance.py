@@ -9,9 +9,10 @@ a selected quadruple may stray from the central concept.
 Selection only needs the distances from the central concept, so they
 come from one breadth-first search from that source over the undirected
 adjacency (the same hop counts the paper's Floyd's algorithm gives on
-this unweighted graph).  Unreachable entities get the explicit value
-``UNREACHABLE`` rather than an error, because selection has to reason
-about them when relaxing the depth constraint.
+this unweighted graph), once per graph object: selection keeps what it
+derives from them on the graph for every later ``select``.  Unreachable
+entities get the explicit value ``UNREACHABLE`` rather than an error, as
+selection has to reason about them when relaxing the depth constraint.
 """
 
 from __future__ import annotations

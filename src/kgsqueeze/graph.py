@@ -122,11 +122,7 @@ class ProbabilityGraph:
         An entity that is head of one quadruple and tail of another
         counts twice; an entity in no quadruple counts zero.
         """
-        counts: Counter[str] = Counter()
-        for q in self.quadruples:
-            counts[q.head] += 1
-            counts[q.tail] += 1
-        return counts
+        return Counter([x for q in self.quadruples for x in (q.head, q.tail)])
 
 
 def relation_entropy(dist: RelationDistribution) -> float:

@@ -175,40 +175,34 @@ def eligible(
     ]
 
 
-def _candidates_with_relaxation(
-    graph: ProbabilityGraph,
-    distances: DistanceTable,
-    target: int,
-    max_depth: int,
-) -> tuple[list[int], int, int, bool]:
-    """Eligible list after depth relaxation, plus how it was obtained.
+@dataclass(frozen=True)
+class _GraphFacts:
+    """What selection needs of a graph, whatever the ratio, depth or strategy."""
 
-    Starting at ``max_depth``, the depth grows one hop at a time while
-    fewer than ``target`` quadruples qualify, stopping once every finite
-    distance is covered (going further cannot help).  If the list is
-    still short, quadruples with unreachable endpoints are appended in
-    ascending-entropy order, and the fallback flag is set.
+    reach: tuple[int | float, ...]  # per quadruple: max(d[head], d[tail])
+    sorted_reach: tuple[int | float, ...]
+    deepest: int  # the largest finite distance
+    by_entropy: tuple[int, ...]  # indices ranked by (entropy, index)
+    endpoint_counts: tuple[int, ...]  # per quadruple: summed endpoint counts
 
-    A quadruple qualifies from depth max(d[head], d[tail]) on, so the
-    stopping depth is read off the ``target``-th smallest such reach.
 
-    Returns (candidate indices, effective depth, relaxation steps,
-    disconnected fallback fired).
-    """
-    d = distances.distance
-    reach = [max(d[q.head], d[q.tail]) for q in graph.quadruples]
-    needed = sorted(reach)[target - 1]
-    if isinf(needed):
-        needed = distances.max_finite()
-    depth = max(max_depth, needed)
-    pool = [i for i, r in enumerate(reach) if r <= depth]
-
-    fallback = len(pool) < target
-    if fallback:
-        stranded = [i for i, r in enumerate(reach) if r > depth]
-        stranded.sort(key=lambda i: (graph.quadruples[i].entropy, i))
-        pool += stranded
-    return pool, depth, depth - max_depth, fallback
+def _facts(graph: ProbabilityGraph) -> _GraphFacts:
+    """Built on a graph's first selection and kept in its instance ``__dict__``,
+    like its entity index, so outside equality and hashing."""
+    facts = graph.__dict__.get("_selection_facts")
+    if facts is None:
+        quads = graph.quadruples
+        distances = all_distances(graph, select_initial_node(graph))
+        d, counts = distances.distance, graph.occurrence_counts()
+        reach = tuple(max(d[q.head], d[q.tail]) for q in quads)
+        entropy = [q.entropy for q in quads]
+        facts = graph.__dict__["_selection_facts"] = _GraphFacts(
+            reach, tuple(sorted(reach)), distances.max_finite(),
+            # A stable sort of the indices: equal entropies keep input order.
+            tuple(sorted(range(len(quads)), key=entropy.__getitem__)),
+            tuple(counts[q.head] + counts[q.tail] for q in quads),
+        )
+    return facts
 
 
 def _pick(
@@ -220,7 +214,8 @@ def _pick(
     """Choose ``target`` indices from the candidate pool per the strategy."""
     strategy = config.strategy
     if strategy == "proposed":
-        return sorted(pool, key=lambda i: (graph.quadruples[i].entropy, i))[:target]
+        members = set(pool)
+        return [i for i in _facts(graph).by_entropy if i in members][:target]
     if strategy == "random":
         if config.seed is None:
             raise MissingSeedError("random strategy needs a seed")
@@ -228,14 +223,9 @@ def _pick(
         chosen = rng.choice(len(pool), size=target, replace=False)
         return sorted(pool[int(i)] for i in chosen)
     if strategy in ("entity_freq_desc", "entity_freq_asc"):
-        counts = graph.occurrence_counts()
+        counts = _facts(graph).endpoint_counts
         sign = -1 if strategy == "entity_freq_desc" else 1
-
-        def score(i: int) -> tuple[int, int]:
-            q = graph.quadruples[i]
-            return (sign * (counts[q.head] + counts[q.tail]), i)
-
-        return sorted(pool, key=score)[:target]
+        return sorted(pool, key=lambda i: (sign * counts[i], i))[:target]
     if strategy == "order_front":
         return pool[:target]
     if strategy == "order_back":
@@ -260,21 +250,30 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
       input-order ties;
     - ``order_front`` / ``order_back``: the first / last quota in input
       order (``order_back``'s indices come back in reverse).
+
+    The depth relaxes to the quota-th smallest reach, at most the deepest
+    finite distance; a pool still short takes the stranded quadruples in
+    (entropy, index) order.  The distances and rankings depend only on the
+    graph: they are computed on its first selection and reused by every
+    later one, the ``metrics`` replay and each sweep evaluation included.
     """
     if not graph.quadruples:
         raise EmptyGraphError("cannot select from an empty graph")
+    facts = _facts(graph)
     target = quota(config.ratio, len(graph.quadruples))
-    distances = all_distances(graph, select_initial_node(graph))
-    pool, depth, steps, fallback = _candidates_with_relaxation(
-        graph, distances, target, config.max_depth
-    )
+    needed = facts.sorted_reach[target - 1]
+    depth = max(config.max_depth, facts.deepest if isinf(needed) else needed)
+    pool = [i for i, r in enumerate(facts.reach) if r <= depth]
+    fallback = len(pool) < target
+    if fallback:
+        pool += [i for i in facts.by_entropy if facts.reach[i] > depth]
     selected = _pick(graph, pool, target, config)
     return SelectionResult(
         selected=tuple(selected),
         quota=target,
         effective_depth=depth,
         semantic_uncertainty=fsum(graph.quadruples[i].entropy for i in selected),
-        relaxation_steps=steps,
+        relaxation_steps=depth - config.max_depth,
         disconnected_fallback=fallback,
         ratio=config.ratio,
         strategy=config.strategy,

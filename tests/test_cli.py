@@ -2,8 +2,10 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -138,6 +140,43 @@ class TestOutputFiles:
                      "--output", output, "--dump-runs", dump]) == 1
         assert "different files" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+    def sweep_one_point(self, output, dump=None):
+        argv = ["sweep", "--input", BRUCE, "--seed", "1", "--runs", "1",
+                "--k-from", "0.5", "--k-to", "0.5", "--output", str(output)]
+        return main(argv + (["--dump-runs", str(dump)] if dump else []))
+
+    def test_symlink_target_is_written_through(self, capsys, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"")
+        link.symlink_to("real.csv")
+        assert self.sweep_one_point(link) == 0
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert real.read_bytes().startswith(kq.SWEEP_HEADER.encode())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_fifo_target_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        assert self.sweep_one_point(fifo) == 0
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received and received[0].startswith(kq.SWEEP_HEADER.encode())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_directory_target_writes_nothing(self, capsys, tmp_path):
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        assert self.sweep_one_point(tmp_path / "out.csv", directory) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {directory}: Is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list(directory.iterdir()) == []
 
     def test_select_into_missing_dir(self, capsys, tmp_path):
         assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",

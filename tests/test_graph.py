@@ -204,13 +204,17 @@ class TestBuildGraph:
 
 
     def test_entity_index_stays_outside_equality_hash_and_pickle(self, bruce):
+        config = kq.SelectionConfig(0.5, 2, "entity_freq_desc")
         bruce.entity("bruce_lee")
+        kq.select(bruce, config)
         fresh = kq.parse_graph_document(kq.serialize_graph(bruce))
-        assert "_by_id" in bruce.__dict__ and "_by_id" not in fresh.__dict__
+        for cache in ("_by_id", "_selection_facts"):
+            assert cache in bruce.__dict__ and cache not in fresh.__dict__
         assert fresh == bruce and hash(fresh) == hash(bruce)
         again = pickle.loads(pickle.dumps(bruce))
         assert again == bruce
         assert again.entity("bruce_lee") == bruce.entity("bruce_lee")
+        assert kq.select(again, config) == kq.select(fresh, config)
 
 
 class TestFixtureEntropies:

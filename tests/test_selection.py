@@ -1,6 +1,8 @@
 """Quota arithmetic, eligibility, strategies, and the channel budget."""
 
+import dataclasses
 import itertools
+from collections import Counter
 from math import fsum
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
+from kgsqueeze import selection
 from kgsqueeze.selection import _pick
 
-from conftest import random_graph
+from conftest import FIXTURE_DIR, random_graph
 
 
 def chain_graph(entropy_spec, labels=("r1", "r2")):
@@ -192,6 +195,62 @@ class TestRelaxation:
                     assert r.effective_depth == depth
                     assert r.relaxation_steps == depth - max_depth
                     assert r.disconnected_fallback == fallback
+
+
+class TestGraphFacts:
+    """Selection's per-graph facts are built once per graph object and reused."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("all_distances", "select_initial_node"):
+            def counted(*args, _name=name, _original=getattr(selection, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(selection, name, counted)
+        return counts
+
+    @staticmethod
+    def fresh_bruce():
+        return kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes())
+
+    def test_one_distance_pass_per_sweep(self, calls):
+        kq.run_sweep(self.fresh_bruce(), runs=3, seed=1)
+        assert calls == {"all_distances": 1, "select_initial_node": 1}
+
+    def test_replay_reuses_the_facts_of_the_same_graph(self, calls):
+        graph = self.fresh_bruce()
+        config = kq.SelectionConfig(0.5, 2, "random", 7)
+        document = kq.emit_selection(kq.select(graph, config), graph)
+        kq.parse_selection_document(document, graph)
+        assert calls == {"all_distances": 1, "select_initial_node": 1}
+        kq.parse_selection_document(document, self.fresh_bruce())
+        assert calls == {"all_distances": 2, "select_initial_node": 2}
+
+    def test_facts_are_frozen_tuples(self, hangzhou):
+        kq.select(hangzhou, kq.SelectionConfig(0.5, 1))
+        facts = hangzhou.__dict__["_selection_facts"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            facts.reach = ()
+        for field in dataclasses.fields(facts):
+            assert isinstance(getattr(facts, field.name), (tuple, int))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.randoms())
+    def test_cached_runs_match_fresh_graphs(self, seed, shuffler):
+        g = random_graph(np.random.default_rng(seed))  # often disconnected
+        total = len(g.quadruples)
+        deepest = kq.all_distances(g, kq.select_initial_node(g)).max_finite()
+        configs = [
+            kq.SelectionConfig(target / total, max_depth, strategy, seed)
+            for target in range(1, total + 1)
+            for max_depth in range(deepest + 3)
+            for strategy in kq.STRATEGIES
+        ]
+        shuffler.shuffle(configs)
+        for config in configs:
+            assert kq.select(g, config) == kq.select(dataclasses.replace(g), config)
 
 
 class TestStrategies:
