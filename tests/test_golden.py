@@ -5,7 +5,9 @@ any change to a selected index, a figure or the formatting of a document
 shows up here.  The inputs are both fixtures and a small hand-built graph
 whose second component the central concept cannot reach, which pins depth
 relaxation and the disconnected fallback too.  ``random`` is left out: its
-stream belongs to the installed numpy.
+stream belongs to the installed numpy.  The metrics digests also cover a
+recovered text read from a file, case-insensitive matching and both ends
+of the phi range.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from conftest import FIXTURE_DIR
 STRATEGIES = tuple(s for s in kq.STRATEGIES if s != "random")
 RATIOS = ("0.05", "0.3", "0.5", "0.9", "1.0")
 DEPTHS = ("0", "1", "2", "9")
+METRICS_RATIOS = ("0.05", "0.5", "1.0")
+METRICS_FLAGS = (
+    ["--recovered", "RECOVERED"],
+    ["--case-insensitive"],
+    ["--recovered", "RECOVERED", "--case-insensitive"],
+    ["--phi", "0"],
+    ["--phi", "1"],
+)
 
 
 def stranded_graph() -> kq.ProbabilityGraph:
@@ -78,6 +88,36 @@ def select_and_metrics_digest(name: str, strategy: str, directory) -> str:
     return digest.hexdigest()
 
 
+def recovered_text(graph: kq.ProbabilityGraph) -> str:
+    """The first two thirds of the graph's words plus its first five again,
+    every third word upper-cased, separated by alternating whitespace runs."""
+    words = graph.text.split()
+    words = words[: 2 * len(words) // 3] + words[:5]
+    return "".join(
+        (w.upper() if i % 3 == 0 else w) + (" \n\t " if i % 2 else " ")
+        for i, w in enumerate(words)
+    )
+
+
+def metrics_flags_digest(name: str, strategy: str, directory) -> str:
+    graph = load(name)
+    graph_path = directory / "graph.json"
+    graph_path.write_bytes(kq.serialize_graph(graph))
+    recovered = directory / "recovered.txt"
+    recovered.write_text(recovered_text(graph), encoding="utf-8")
+    selection = directory / "selection.json"
+    digest = hashlib.sha256()
+    for ratio in METRICS_RATIOS:
+        digest.update(run(["select", "--input", str(graph_path), "--k", ratio,
+                           "--depth", "2", "--strategy", strategy,
+                           "--output", str(selection)]))
+        for flags in METRICS_FLAGS:
+            flags = [str(recovered) if f == "RECOVERED" else f for f in flags]
+            digest.update(run(["metrics", "--input", str(graph_path),
+                               "--selection", str(selection), *flags]))
+    return digest.hexdigest()
+
+
 def sweep_digest(name: str, depth: int) -> str:
     rows, _ = kq.run_sweep(load(name), depth=depth, runs=1, seed=0)
     table = kq.emit_sweep_table([r for r in rows if r.strategy != "random"])
@@ -117,6 +157,39 @@ SELECT_DIGESTS = {
         "e58b74185d2786d62825f9961c338de086b03401924b35d453042bd7d455730d",
 }
 
+METRICS_FLAGS_DIGESTS = {
+    ("bruce", "proposed"):
+        "85fdeee02fd7f5d79b57287af3e149a9264b638cba3bb4e864b06339c9fb2ce0",
+    ("bruce", "entity_freq_desc"):
+        "2dab787c57d05afe993cab2c96af1c644323b147f74dccc3b7e938345820d21f",
+    ("bruce", "entity_freq_asc"):
+        "39503502948e40c481593c99416abf1c997bd66ee80fb500976ab4e61e09bcdb",
+    ("bruce", "order_front"):
+        "85fdeee02fd7f5d79b57287af3e149a9264b638cba3bb4e864b06339c9fb2ce0",
+    ("bruce", "order_back"):
+        "7eacf06b12d71da0f2e349e98d002dbc5c3996449295b945da0d2354b39caedc",
+    ("hangzhou", "proposed"):
+        "30af278764d01fcb8cd289d195aa9c4270402f7f4813527ef0ffc63b100b92b4",
+    ("hangzhou", "entity_freq_desc"):
+        "9b0e488d4dfa20d23c30ecdf625cb090829ed1e7576ac19b01e4c947958df545",
+    ("hangzhou", "entity_freq_asc"):
+        "63d125832c2e842ff07bcf0343585e7f60b16765c5d02e3abd0be8f316f7d549",
+    ("hangzhou", "order_front"):
+        "26512473895e9bf2b8d7a6f6ec63cffdb4ab647645b12c7071e3dc08c3a199aa",
+    ("hangzhou", "order_back"):
+        "9650c96332ae2613bd8abab6d3e3816d9aea1afc19c5b4f4b3cbb47ae921a115",
+    ("stranded", "proposed"):
+        "dbbdc593f2d39022c84980b1fac0a532f684274048bb89eb201f5ed7cc7d58d1",
+    ("stranded", "entity_freq_desc"):
+        "7430285902f64eee856815ff8d4bcb80f5a733b5f747a5e32e5688939109695e",
+    ("stranded", "entity_freq_asc"):
+        "bef3f583d25ca7caca88b40c1602470888ff98b1caa9860f386ddbad34d9fc0f",
+    ("stranded", "order_front"):
+        "891e5c99c4ff793ae02f4f12d2e3569a824486ed144bbb1d263b0d1092a61301",
+    ("stranded", "order_back"):
+        "9a0997a499ba2066198689603ff7b87f1f50c2c533576867a7aa3fd3fb31ac07",
+}
+
 SWEEP_DIGESTS = {
     ("bruce", 0): "0189538eb9c638d96348c343864220fba600275f5978db639a6e5b487526dc7b",
     ("bruce", 2): "463ccf4e0dc6b3498a32fbcc53cbe892e571dd8bdda22c3211f7d6cb3ba848d6",
@@ -139,3 +212,11 @@ def test_select_and_metrics_bytes(name, strategy, tmp_path):
 @pytest.mark.parametrize("name", ["bruce", "hangzhou", "stranded"])
 def test_sweep_rows_bytes(name, depth):
     assert sweep_digest(name, depth) == SWEEP_DIGESTS[name, depth]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", ["bruce", "hangzhou", "stranded"])
+def test_metrics_flags_bytes(name, strategy, tmp_path):
+    assert metrics_flags_digest(name, strategy, tmp_path) == (
+        METRICS_FLAGS_DIGESTS[name, strategy]
+    )
