@@ -45,8 +45,6 @@ from .io import (
 from .metrics import (
     DEFAULT_PHI,
     MetricsReport,
-    accuracy,
-    completeness,
     count_occurrences,
     semantic_uncertainty,
     similarity,
@@ -91,11 +89,9 @@ __all__ = [
     "SweepRow",
     "UNREACHABLE",
     "UnknownEntityError",
-    "accuracy",
     "all_distances",
     "budget_to_quota",
     "build_graph",
-    "completeness",
     "count_occurrences",
     "eligible",
     "emit_selection",

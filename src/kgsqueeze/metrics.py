@@ -90,71 +90,6 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     return " ".join(sentences)
 
 
-def _selected_entity_ids(
-    result: SelectionResult, graph: ProbabilityGraph
-) -> list[str]:
-    """Distinct entities of the selected quadruples, first-seen order."""
-    seen: dict[str, None] = {}
-    for i in result.selected:
-        q = graph.quadruples[i]
-        seen.setdefault(q.head)
-        seen.setdefault(q.tail)
-    return list(seen)
-
-
-def _occurrence_table(
-    result: SelectionResult,
-    graph: ProbabilityGraph,
-    recovered_text: str,
-    case_insensitive: bool,
-) -> dict[str, tuple[int, int]]:
-    original = _normalize(graph.text, case_insensitive)
-    recovered = _normalize(recovered_text, case_insensitive)
-    table = {}
-    for entity_id in _selected_entity_ids(result, graph):
-        surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
-        table[entity_id] = (original.count(surface), recovered.count(surface))
-    return table
-
-
-def _overlap_ratios(counts: Mapping[str, tuple[int, int]]) -> tuple[float, float]:
-    """(accuracy, completeness) from per-entity (original, recovered) counts.
-
-    The shared numerator sums min(original, recovered) per entity;
-    accuracy divides by the recovered total, completeness by the
-    original total.  A zero denominator yields 0 rather than an error:
-    empty selections and degenerate texts are legal inputs.
-    """
-    shared = sum(min(o, r) for o, r in counts.values())
-    recovered_total = sum(r for _, r in counts.values())
-    original_total = sum(o for o, _ in counts.values())
-    accuracy = shared / recovered_total if recovered_total else 0.0
-    completeness = shared / original_total if original_total else 0.0
-    return accuracy, completeness
-
-
-def accuracy(
-    graph: ProbabilityGraph,
-    result: SelectionResult,
-    recovered_text: str,
-    case_insensitive: bool = False,
-) -> float:
-    """Fraction of recovered entity mentions matched by the original text."""
-    counts = _occurrence_table(result, graph, recovered_text, case_insensitive)
-    return _overlap_ratios(counts)[0]
-
-
-def completeness(
-    graph: ProbabilityGraph,
-    result: SelectionResult,
-    recovered_text: str,
-    case_insensitive: bool = False,
-) -> float:
-    """Fraction of original entity mentions preserved by the recovered text."""
-    counts = _occurrence_table(result, graph, recovered_text, case_insensitive)
-    return _overlap_ratios(counts)[1]
-
-
 def similarity(
     graph: ProbabilityGraph,
     result: SelectionResult,
@@ -164,16 +99,36 @@ def similarity(
 ) -> MetricsReport:
     """Full evaluation of a selection against a recovered text.
 
+    Each distinct entity of the selected quadruples (heads and tails, in
+    first-seen order) is counted in both whitespace-normalized texts, as
+    ``count_occurrences`` counts.  The shared count sums min(original,
+    recovered) per entity; accuracy A divides it by the recovered total,
+    completeness C by the original total, and a zero denominator gives 0
+    rather than an error: empty selections and degenerate texts are legal
+    inputs.
+
     The similarity score is theta * A * C / (phi * A + (1 - phi) * C),
-    where A is accuracy, C completeness, and theta the summed
-    top-relation probabilities of the selection.  phi in [0, 1] steers
-    the weighting: phi = 1 reduces the score to theta * C, phi = 0 to
-    theta * A.  The score is 0 whenever the denominator is.
+    where theta is the summed top-relation probabilities of the
+    selection.  phi in [0, 1] steers the weighting: phi = 1 reduces the
+    score to theta * C, phi = 0 to theta * A.  The score is 0 whenever
+    the denominator is.
     """
     if not 0.0 <= phi <= 1.0:
         raise InvalidPhiError(f"phi must be in [0, 1], got {phi!r}")
-    counts = _occurrence_table(result, graph, recovered_text, case_insensitive)
-    acc, comp = _overlap_ratios(counts)
+    original = _normalize(graph.text, case_insensitive)
+    recovered = _normalize(recovered_text, case_insensitive)
+    counts = {}
+    for i in result.selected:
+        q = graph.quadruples[i]
+        for entity_id in (q.head, q.tail):
+            if entity_id not in counts:
+                surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
+                counts[entity_id] = (original.count(surface), recovered.count(surface))
+    shared = sum(min(o, r) for o, r in counts.values())
+    original_total = sum(o for o, _ in counts.values())
+    recovered_total = sum(r for _, r in counts.values())
+    acc = shared / recovered_total if recovered_total else 0.0
+    comp = shared / original_total if original_total else 0.0
     theta = fsum(graph.quadruples[i].top_probability for i in result.selected)
     denominator = phi * acc + (1.0 - phi) * comp
     score = theta * acc * comp / denominator if denominator > 0.0 else 0.0

@@ -273,9 +273,11 @@ def test_criterion_06_metrics_algebra(verdict, bruce):
         text_a = " ".join(rng.choice(surfaces, size=int(rng.integers(1, 12))))
         text_b = " ".join(rng.choice(surfaces, size=int(rng.integers(1, 12))))
         g_a, g_b = graph_with(text_a), graph_with(text_b)
-        if kq.accuracy(g_a, full, text_b) != kq.completeness(g_b, full, text_a):
+        if (kq.similarity(g_a, full, text_b).accuracy
+                != kq.similarity(g_b, full, text_a).completeness):
             swap_exact = False
-        if kq.completeness(g_a, full, text_b) != kq.accuracy(g_b, full, text_a):
+        if (kq.similarity(g_a, full, text_b).completeness
+                != kq.similarity(g_b, full, text_a).accuracy):
             swap_exact = False
 
     result = kq.select(bruce, kq.SelectionConfig(0.5, 9))

@@ -130,13 +130,15 @@ class TestAccuracyCompleteness:
         g_a = word_graph(text_a, surfaces, candidates)
         g_b = word_graph(text_b, surfaces, candidates)
         r = make_result([0, 1])
-        assert kq.accuracy(g_a, r, text_b) == kq.completeness(g_b, r, text_a)
-        assert kq.completeness(g_a, r, text_b) == kq.accuracy(g_b, r, text_a)
+        assert (kq.similarity(g_a, r, text_b).accuracy
+                == kq.similarity(g_b, r, text_a).completeness)
+        assert (kq.similarity(g_a, r, text_b).completeness
+                == kq.similarity(g_b, r, text_a).accuracy)
 
     def test_identical_text_gives_unity(self, bruce):
         r = make_result(range(len(bruce.quadruples)))
-        assert kq.accuracy(bruce, r, bruce.text) == 1.0
-        assert kq.completeness(bruce, r, bruce.text) == 1.0
+        assert kq.similarity(bruce, r, bruce.text).accuracy == 1.0
+        assert kq.similarity(bruce, r, bruce.text).completeness == 1.0
 
     def test_only_selected_entities_count(self):
         # quad 0 alone: gamma's absence from the recovered text is invisible
@@ -145,8 +147,8 @@ class TestAccuracyCompleteness:
             ["alpha", "beta", "gamma"],
             [("alpha", "beta", {"r1": 1.0}), ("beta", "gamma", {"r2": 1.0})],
         )
-        assert kq.accuracy(g, make_result([0]), "alpha beta") == 1.0
-        assert kq.completeness(g, make_result([0]), "alpha beta") == 1.0
+        assert kq.similarity(g, make_result([0]), "alpha beta").accuracy == 1.0
+        assert kq.similarity(g, make_result([0]), "alpha beta").completeness == 1.0
 
     def test_zero_denominators_give_zero(self):
         g = word_graph(
@@ -155,12 +157,12 @@ class TestAccuracyCompleteness:
             [("alpha", "beta", {"r1": 1.0})],
         )
         r = make_result([0])
-        assert kq.accuracy(g, r, "nothing relevant") == 0.0
+        assert kq.similarity(g, r, "nothing relevant").accuracy == 0.0
         report = kq.similarity(g, r, "nothing relevant")
         assert report.similarity == 0.0
         empty = make_result([])
-        assert kq.accuracy(g, empty, "alpha") == 0.0
-        assert kq.completeness(g, empty, "alpha") == 0.0
+        assert kq.similarity(g, empty, "alpha").accuracy == 0.0
+        assert kq.similarity(g, empty, "alpha").completeness == 0.0
 
     def test_partial_overlap_fractions(self):
         g = word_graph(
@@ -171,8 +173,8 @@ class TestAccuracyCompleteness:
         r = make_result([0])
         recovered = "alpha beta beta beta"
         # shared: min(2,1) + min(1,3) = 2; recovered total 4; original 3
-        assert kq.accuracy(g, r, recovered) == 2 / 4
-        assert kq.completeness(g, r, recovered) == 2 / 3
+        assert kq.similarity(g, r, recovered).accuracy == 2 / 4
+        assert kq.similarity(g, r, recovered).completeness == 2 / 3
 
 
 class TestSimilarity:
