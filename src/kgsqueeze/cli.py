@@ -118,8 +118,8 @@ def _build_parser() -> _Parser:
     sweep_p.add_argument("--seed", type=_non_negative_int, default=None)
     sweep_p.add_argument("--phi", type=_phi, default=DEFAULT_PHI)
     sweep_p.add_argument("--jobs", type=_positive_int, default=1,
-                         help="accepted for compatibility; the sweep always "
-                              "runs in one thread")
+                         help="accepted and ignored; the sweep always runs "
+                              "in one thread")
     sweep_p.add_argument("--dump-runs", default=None,
                          help="also write per-run random-baseline figures (CSV)")
     sweep_p.add_argument("--output", required=True, help="sweep CSV path")
@@ -286,7 +286,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=seed,
         phi=args.phi,
-        jobs=args.jobs,
     )
     outputs = [(args.output, emit_sweep_table(rows))]
     if args.dump_runs is not None:

@@ -6,8 +6,8 @@ verbalizer's recovered text).  The random baseline is averaged over a
 number of seeded runs; every run's generator is derived from
 (seed, grid index, run index), so results depend on nothing but the
 arguments.  Grid points are evaluated one after another: the work is
-pure Python, so threads did not speed it up, and ``jobs`` is accepted
-only so existing callers keep working.
+pure Python, so threads did not speed it up.  The command line's
+``sweep --jobs`` is still accepted and validated, and then ignored.
 """
 
 from __future__ import annotations
@@ -63,18 +63,14 @@ def run_sweep(
     runs: int = 100,
     seed: int = 0,
     phi: float = 0.5,
-    jobs: int = 1,
 ) -> tuple[list[SweepRow], list[RunRecord]]:
     """All strategies across the ratio grid; see the module docstring.
 
     Returns rows sorted by (strategy, K) and the individual
-    random-baseline run records sorted by (K, run index).  ``jobs``
-    must be positive and changes nothing.
+    random-baseline run records sorted by (K, run index).
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     rows = []
     records = []
     for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):

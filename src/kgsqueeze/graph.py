@@ -116,13 +116,19 @@ class ProbabilityGraph:
         # Kept in the instance __dict__, outside equality and hashing.
         return {e.id: e for e in self.entities}
 
+    @cached_property
+    def _endpoint_counts(self) -> Counter[str]:
+        # Walked once per graph object; read-only, occurrence_counts copies it.
+        return Counter([x for q in self.quadruples for x in (q.head, q.tail)])
+
     def occurrence_counts(self) -> Counter[str]:
         """How many quadruple endpoint slots each entity fills.
 
         An entity that is head of one quadruple and tail of another
-        counts twice; an entity in no quadruple counts zero.
+        counts twice; an entity in no quadruple counts zero.  Each call
+        returns a fresh Counter the caller may mutate.
         """
-        return Counter([x for q in self.quadruples for x in (q.head, q.tail)])
+        return self._endpoint_counts.copy()
 
 
 def relation_entropy(dist: RelationDistribution) -> float:

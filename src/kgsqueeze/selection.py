@@ -38,6 +38,10 @@ STRATEGIES = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Parameters of one selection run.
@@ -46,6 +50,9 @@ class SelectionConfig:
     quadruples kept, in (0, 1].  ``max_depth`` is the largest allowed
     relational distance from the central concept before relaxation.
     ``seed`` (non-negative) is required by the random strategy only.
+    ``max_depth`` and ``seed`` must be plain ints and ``ratio`` must not
+    be a bool, the types a selection document carries; nothing is
+    converted.
     """
 
     ratio: float
@@ -54,14 +61,20 @@ class SelectionConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.ratio, bool):
+            raise ValueError(f"ratio must be a number, got {self.ratio!r}")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio!r}")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
+        if not _is_int(self.max_depth) or self.max_depth < 0:
+            raise ValueError(
+                f"max_depth must be a non-negative int, got {self.max_depth!r}"
+            )
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
+        if self.seed is not None and not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -193,7 +206,8 @@ def _facts(graph: ProbabilityGraph) -> _GraphFacts:
     if facts is None:
         quads = graph.quadruples
         distances = all_distances(graph, select_initial_node(graph))
-        d, counts = distances.distance, graph.occurrence_counts()
+        # The counts select_initial_node just walked, read without a copy.
+        d, counts = distances.distance, graph._endpoint_counts
         reach = tuple(max(d[q.head], d[q.tail]) for q in quads)
         entropy = [q.entropy for q in quads]
         facts = graph.__dict__["_selection_facts"] = _GraphFacts(

@@ -95,6 +95,14 @@ class TestExitCodes:
         assert "grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_must_be_a_positive_int(self, capsys, tmp_path, jobs):
+        out = tmp_path / "t.csv"
+        assert main(["sweep", "--input", BRUCE, "--seed", "1", "--runs", "1",
+                     "--jobs", jobs, "--output", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputFiles:
     """A failed command leaves every output path as it was."""

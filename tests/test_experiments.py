@@ -67,17 +67,6 @@ class TestRunSweep:
         randoms_b = [r for r in rows_b if r.strategy == "random"]
         assert randoms_a != randoms_b
 
-    def test_jobs_do_not_change_output(self, bruce):
-        serial = kq.run_sweep(bruce, runs=4, seed=7, jobs=1)
-        threaded = kq.run_sweep(bruce, runs=4, seed=7, jobs=4)
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-        assert kq.emit_sweep_table(serial[0]) == kq.emit_sweep_table(threaded[0])
-
-    def test_jobs_must_be_positive(self, bruce):
-        with pytest.raises(ValueError, match="jobs"):
-            kq.run_sweep(bruce, runs=1, seed=7, jobs=0)
-
     def test_random_rows_average_the_run_records(self, hangzhou):
         rows, records = kq.run_sweep(
             hangzhou, k_from=0.3, k_to=0.3, k_step=0.1, runs=8, seed=4

@@ -197,6 +197,13 @@ class TestBuildGraph:
         assert counts["chu_kochen"] == 3
         assert counts["west_lake"] == 1
 
+    def test_occurrence_counts_are_a_fresh_copy(self, hangzhou):
+        before = list(hangzhou.occurrence_counts().items())
+        counts = hangzhou.occurrence_counts()
+        counts["hangzhou"] += 10
+        counts["nobody"] = 1
+        assert list(hangzhou.occurrence_counts().items()) == before
+
     def test_entity_lookup(self, bruce):
         assert bruce.entity("bruce_lee").surface == "Bruce Lee"
         with pytest.raises(kq.UnknownEntityError):

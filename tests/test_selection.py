@@ -92,6 +92,31 @@ class TestQuota:
             kq.SelectionConfig(0.5, 2, "random", -1)
         assert kq.SelectionConfig(0.5, 2, "random", 0).seed == 0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.5, 1.5), "max_depth must be a non-negative int"),
+            ((0.5, np.int64(2)), "max_depth must be a non-negative int"),
+            ((0.5, True), "max_depth must be a non-negative int"),
+            ((True, 2), "ratio must be a number"),
+            ((0.5, 2, "random", 1.5), "seed must be an int"),
+            ((0.5, 2, "random", True), "seed must be an int"),
+            ((0.5, 2, "random", np.int64(7)), "seed must be an int"),
+        ],
+        ids=["float-depth", "numpy-depth", "bool-depth", "bool-ratio",
+             "float-seed", "bool-seed", "numpy-seed"],
+    )
+    def test_types_a_selection_document_cannot_carry_are_rejected(
+        self, args, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            kq.SelectionConfig(*args)
+
+    def test_int_ratio_round_trips(self, bruce):
+        result = kq.select(bruce, kq.SelectionConfig(1, 2))
+        document = kq.emit_selection(result, bruce)
+        assert kq.parse_selection_document(document, bruce) == result
+
 
 class TestEligibility:
     def test_depth_one_is_incident_set(self, hangzhou):
@@ -227,6 +252,18 @@ class TestGraphFacts:
         assert calls == {"all_distances": 1, "select_initial_node": 1}
         kq.parse_selection_document(document, self.fresh_bruce())
         assert calls == {"all_distances": 2, "select_initial_node": 2}
+
+    def test_endpoint_slots_counted_once_per_sweep(self, monkeypatch):
+        graphs = []
+        original = kq.ProbabilityGraph.occurrence_counts
+
+        def counted(graph):
+            graphs.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(kq.ProbabilityGraph, "occurrence_counts", counted)
+        kq.run_sweep(self.fresh_bruce(), runs=3, seed=1)
+        assert len(graphs) == 1
 
     def test_facts_are_frozen_tuples(self, hangzhou):
         kq.select(hangzhou, kq.SelectionConfig(0.5, 1))
