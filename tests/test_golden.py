@@ -4,10 +4,12 @@ Each digest is the SHA-256 of the outputs of a fixed run of commands, so
 any change to a selected index, a figure or the formatting of a document
 shows up here.  The inputs are both fixtures and a small hand-built graph
 whose second component the central concept cannot reach, which pins depth
-relaxation and the disconnected fallback too.  ``random`` is left out: its
-stream belongs to the installed numpy.  The metrics digests also cover a
-recovered text read from a file, case-insensitive matching and both ends
-of the phi range.
+relaxation and the disconnected fallback too.  The metrics digests also
+cover a recovered text read from a file, case-insensitive matching and
+both ends of the phi range.  ``random`` has digests of its own: selection
+documents and their metrics replays over several seeds, one past 2**64,
+and ``sweep`` tables with their per-run dumps.  They were generated with
+numpy 2.4.6's ``default_rng`` and ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from conftest import FIXTURE_DIR
 STRATEGIES = tuple(s for s in kq.STRATEGIES if s != "random")
 RATIOS = ("0.05", "0.3", "0.5", "0.9", "1.0")
 DEPTHS = ("0", "1", "2", "9")
+RANDOM_DEPTHS = ("0", "2")
+RANDOM_SEEDS = ("0", "7", "123456789", str(2**64 + 1))
 METRICS_RATIOS = ("0.05", "0.5", "1.0")
 METRICS_FLAGS = (
     ["--recovered", "RECOVERED"],
@@ -85,6 +89,37 @@ def select_and_metrics_digest(name: str, strategy: str, directory) -> str:
             digest.update(selection.read_bytes())
             digest.update(run(["metrics", "--input", str(graph_path),
                                "--selection", str(selection)]))
+    return digest.hexdigest()
+
+
+def random_select_digest(name: str, directory) -> str:
+    graph_path = directory / "graph.json"
+    graph_path.write_bytes(kq.serialize_graph(load(name)))
+    selection = directory / "selection.json"
+    digest = hashlib.sha256()
+    for ratio in RATIOS:
+        for depth in RANDOM_DEPTHS:
+            for seed in RANDOM_SEEDS:
+                digest.update(run(["select", "--input", str(graph_path), "--k", ratio,
+                                   "--depth", depth, "--strategy", "random",
+                                   "--seed", seed, "--output", str(selection)]))
+                digest.update(selection.read_bytes())
+                digest.update(run(["metrics", "--input", str(graph_path),
+                                   "--selection", str(selection)]))
+    return digest.hexdigest()
+
+
+def random_sweep_digest(name: str, directory) -> str:
+    """``sweep --seed 1 --runs 3 --dump-runs``: every strategy's row, the
+    random baseline's included, and each random run."""
+    graph_path = directory / "graph.json"
+    graph_path.write_bytes(kq.serialize_graph(load(name)))
+    table, runs = directory / "table.csv", directory / "runs.csv"
+    digest = hashlib.sha256(run(["sweep", "--input", str(graph_path), "--seed", "1",
+                                 "--runs", "3", "--output", str(table),
+                                 "--dump-runs", str(runs)]))
+    digest.update(table.read_bytes())
+    digest.update(runs.read_bytes())
     return digest.hexdigest()
 
 
@@ -190,6 +225,18 @@ METRICS_FLAGS_DIGESTS = {
         "9a0997a499ba2066198689603ff7b87f1f50c2c533576867a7aa3fd3fb31ac07",
 }
 
+RANDOM_SELECT_DIGESTS = {
+    "bruce": "9a134f7b838202eb5d37d01d1d6f93379bfbc1ff651deaced124e1bae419b4ed",
+    "hangzhou": "bf741615e4d0d0eec23fdf83d0b73538f617ca64aa17718fd0af2648b321f536",
+    "stranded": "6371bc321f4184bcf1a7771e0e35eda375adf9aa3acd0982c624f075c5fbeb25",
+}
+
+RANDOM_SWEEP_DIGESTS = {
+    "bruce": "63436eacf39f2d84413a60048f477f7f86620105326698d5dea8a7846177fe4f",
+    "hangzhou": "a75307fe74fee4db54b2f686596edf3f262108e45dad5dd5cd9ddcba846172ac",
+    "stranded": "6822283d22967f8a4a06a157fd73169c3c93d0e8ae513ded05824d9590052a58",
+}
+
 SWEEP_DIGESTS = {
     ("bruce", 0): "0189538eb9c638d96348c343864220fba600275f5978db639a6e5b487526dc7b",
     ("bruce", 2): "463ccf4e0dc6b3498a32fbcc53cbe892e571dd8bdda22c3211f7d6cb3ba848d6",
@@ -206,6 +253,16 @@ def test_select_and_metrics_bytes(name, strategy, tmp_path):
     assert select_and_metrics_digest(name, strategy, tmp_path) == (
         SELECT_DIGESTS[name, strategy]
     )
+
+
+@pytest.mark.parametrize("name", ["bruce", "hangzhou", "stranded"])
+def test_random_select_and_metrics_bytes(name, tmp_path):
+    assert random_select_digest(name, tmp_path) == RANDOM_SELECT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["bruce", "hangzhou", "stranded"])
+def test_random_sweep_bytes(name, tmp_path):
+    assert random_sweep_digest(name, tmp_path) == RANDOM_SWEEP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("depth", [0, 2])
