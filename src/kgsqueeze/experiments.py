@@ -3,10 +3,11 @@
 For each ratio on the grid and each strategy, runs the selection and
 scores it (uncertainty directly, similarity against the built-in
 verbalizer's recovered text).  The random baseline is averaged over a
-number of seeded runs; every run's generator is derived from
-(seed, grid index, run index), so results depend on nothing but the
-arguments.  Grid points are evaluated one after another: the work is
-pure Python, so threads did not speed it up.  The command line's
+number of seeded runs; every run's seed is derived from (seed, grid
+index, run index) by numpy's ``SeedSequence`` mixing, computed in the
+package, so results depend on nothing but the arguments, not on an
+installed numpy.  Grid points are evaluated one after another: the work
+is pure Python, so threads did not speed it up.  The command line's
 ``sweep --jobs`` is still accepted and validated, and then ignored.
 """
 
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 from math import floor, fsum
 
-import numpy as np
-
+from ._rng import derive_seed
 from .graph import ProbabilityGraph
 from .io import RunRecord, SweepRow
 from .metrics import similarity, verbalize
@@ -48,12 +48,6 @@ def ratio_grid(k_from: float, k_to: float, k_step: float) -> list[float]:
     return [min(k_from + i * k_step, k_to) for i in range(points)]
 
 
-def _derived_seed(seed: int, grid_index: int, run_index: int) -> int:
-    return int(
-        np.random.SeedSequence([seed, grid_index, run_index]).generate_state(1)[0]
-    )
-
-
 def run_sweep(
     graph: ProbabilityGraph,
     k_from: float = 0.1,
@@ -76,7 +70,7 @@ def run_sweep(
     for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):
         for strategy in STRATEGIES:
             if strategy == "random":
-                run_seeds = [_derived_seed(seed, grid_index, i) for i in range(runs)]
+                run_seeds = [derive_seed(seed, grid_index, i) for i in range(runs)]
             else:
                 run_seeds = [None]
             figures = []

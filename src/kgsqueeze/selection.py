@@ -13,7 +13,10 @@ quota size always exists.
 The entropy-greedy strategy then takes the quota of smallest-entropy
 quadruples from the eligible set, which is exactly the subset of minimum
 total entropy.  Five baseline strategies draw from the same eligible
-set, so comparisons isolate the selection criterion itself.
+set, so comparisons isolate the selection criterion itself.  The random
+baseline draws from the package's own PCG64 stream, which holds the
+index set of numpy's ``default_rng(seed).choice`` (checked against numpy
+2.4.6) without importing numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor, fsum, isfinite, isinf, log2
 
-import numpy as np
-
+from ._rng import sample_indices
 from .distance import DistanceTable, all_distances, select_initial_node
 from .errors import EmptyGraphError, MissingSeedError
 from .graph import ProbabilityGraph
@@ -50,9 +52,9 @@ class SelectionConfig:
     quadruples kept, in (0, 1].  ``max_depth`` is the largest allowed
     relational distance from the central concept before relaxation.
     ``seed`` (non-negative) is required by the random strategy only.
-    ``max_depth`` and ``seed`` must be plain ints and ``ratio`` must not
-    be a bool, the types a selection document carries; nothing is
-    converted.
+    ``max_depth`` and ``seed`` must be plain ints and ``ratio`` an int or
+    a float (never a bool), the types a selection document carries;
+    nothing is converted.
     """
 
     ratio: float
@@ -61,8 +63,10 @@ class SelectionConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.ratio, bool):
-            raise ValueError(f"ratio must be a number, got {self.ratio!r}")
+        if not (_is_int(self.ratio) or isinstance(self.ratio, float)):
+            raise ValueError(
+                f"ratio must be a number (an int or a float), got {self.ratio!r}"
+            )
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio!r}")
         if not _is_int(self.max_depth) or self.max_depth < 0:
@@ -107,9 +111,10 @@ class SelectionResult:
 class ChannelBudget:
     """Link parameters that bound how many quadruples fit in a transmission.
 
-    ``bits_per_quadruple`` is the wire cost of one quadruple; the rest
-    parameterize the link capacity time * bandwidth * log2(1 + snr)
-    with snr = power * channel_gain / noise_power.
+    ``bits_per_quadruple`` is the wire cost of one quadruple, a plain int
+    of at least 1 (never a bool); the rest parameterize the link capacity
+    time * bandwidth * log2(1 + snr) with snr = power * channel_gain /
+    noise_power.
     """
 
     time: float
@@ -131,8 +136,11 @@ class ChannelBudget:
             raise ValueError("all channel budget fields must be finite")
         if self.noise_power <= 0:
             raise ValueError("noise_power must be positive")
-        if self.bits_per_quadruple < 1:
-            raise ValueError("bits_per_quadruple must be at least 1")
+        if not _is_int(self.bits_per_quadruple) or self.bits_per_quadruple < 1:
+            raise ValueError(
+                "bits_per_quadruple must be an int of at least 1, "
+                f"got {self.bits_per_quadruple!r}"
+            )
         if self.power < 0 or self.channel_gain < 0:
             raise ValueError("power and channel_gain must be non-negative")
         if self.time < 0 or self.bandwidth < 0:
@@ -233,9 +241,7 @@ def _pick(
     if strategy == "random":
         if config.seed is None:
             raise MissingSeedError("random strategy needs a seed")
-        rng = np.random.default_rng(config.seed)
-        chosen = rng.choice(len(pool), size=target, replace=False)
-        return sorted(pool[int(i)] for i in chosen)
+        return sorted(pool[i] for i in sample_indices(config.seed, len(pool), target))
     if strategy in ("entity_freq_desc", "entity_freq_asc"):
         counts = _facts(graph).endpoint_counts
         sign = -1 if strategy == "entity_freq_desc" else 1
@@ -257,7 +263,7 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     - ``proposed`` (entropy-greedy): the smallest-entropy quadruples, the
       subset of minimum total entropy; ties break on input order and
       indices come back smallest entropy first;
-    - ``random``: uniform subset from a generator seeded with
+    - ``random``: uniform subset from a PCG64 generator seeded with
       ``config.seed`` (required), reported in input order;
     - ``entity_freq_desc`` / ``entity_freq_asc``: by summed endpoint
       occurrence counts over the whole graph, descending/ascending, with

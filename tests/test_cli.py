@@ -588,3 +588,42 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["H"] == 3
         assert "SU=" in proc.stderr
+
+
+class TestWithoutNumpy:
+    """numpy is a test dependency only: the CLI, the random strategy included,
+    runs and prints the same bytes where it cannot be imported."""
+
+    SCRIPT = (
+        "import sys\n"
+        "import kgsqueeze.cli\n"
+        "assert 'numpy' not in sys.modules, 'import kgsqueeze.cli imported numpy'\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.exit(kgsqueeze.cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+             "--strategy", "random", "--seed", "7", "--output", "OUT"],
+            ["sweep", "--input", BRUCE, "--seed", "1", "--runs", "2",
+             "--output", "OUT"],
+        ],
+        ids=["select-random", "sweep"],
+    )
+    def test_same_bytes_as_in_process(self, tmp_path, capsys, argv):
+        def with_output(path):
+            return [str(path) if a == "OUT" else a for a in argv]
+
+        isolated, in_process = tmp_path / "isolated.out", tmp_path / "in-process.out"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *with_output(isolated)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(with_output(in_process)) == 0
+        captured = capsys.readouterr()
+        assert (proc.stdout, proc.stderr, isolated.read_bytes()) == (
+            captured.out, captured.err, in_process.read_bytes()
+        )

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -99,11 +101,15 @@ class TestQuota:
             ((0.5, np.int64(2)), "max_depth must be a non-negative int"),
             ((0.5, True), "max_depth must be a non-negative int"),
             ((True, 2), "ratio must be a number"),
+            ((Fraction(1, 2), 2), "ratio must be a number"),
+            ((Decimal("0.5"), 2), "ratio must be a number"),
+            (("0.5", 2), "ratio must be a number"),
             ((0.5, 2, "random", 1.5), "seed must be an int"),
             ((0.5, 2, "random", True), "seed must be an int"),
             ((0.5, 2, "random", np.int64(7)), "seed must be an int"),
         ],
         ids=["float-depth", "numpy-depth", "bool-depth", "bool-ratio",
+             "fraction-ratio", "decimal-ratio", "str-ratio",
              "float-seed", "bool-seed", "numpy-seed"],
     )
     def test_types_a_selection_document_cannot_carry_are_rejected(
@@ -114,6 +120,14 @@ class TestQuota:
 
     def test_int_ratio_round_trips(self, bruce):
         result = kq.select(bruce, kq.SelectionConfig(1, 2))
+        document = kq.emit_selection(result, bruce)
+        assert kq.parse_selection_document(document, bruce) == result
+
+    def test_float_subclass_ratio_round_trips(self, bruce):
+        class Ratio(float):
+            pass
+
+        result = kq.select(bruce, kq.SelectionConfig(Ratio(0.5), 2))
         document = kq.emit_selection(result, bruce)
         assert kq.parse_selection_document(document, bruce) == result
 
@@ -429,6 +443,12 @@ class TestChannelBudget:
             kq.ChannelBudget(1.0, 1.0, 1.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             kq.ChannelBudget(float("inf"), 1.0, 1.0, 1.0, 1.0, 400)
+
+    @pytest.mark.parametrize("bits", [True, 1.5, 2.0, "400"],
+                             ids=["bool", "fraction", "integral-float", "str"])
+    def test_bits_per_quadruple_must_be_an_int(self, bits):
+        with pytest.raises(ValueError, match="bits_per_quadruple must be an int"):
+            kq.ChannelBudget(1.0, 1.0, 1.0, 1.0, 1.0, bits)
 
     def test_quadruple_wider_than_any_float_transmits_nothing(self):
         budget = kq.ChannelBudget(1.0, 1000.0, 3.0, 1.0, 1.0, 10**400)
