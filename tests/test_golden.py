@@ -9,7 +9,9 @@ cover a recovered text read from a file, case-insensitive matching and
 both ends of the phi range.  ``random`` has digests of its own: selection
 documents and their metrics replays over several seeds, one past 2**64,
 and ``sweep`` tables with their per-run dumps.  They were generated with
-numpy 2.4.6's ``default_rng`` and ``SeedSequence``.
+numpy 2.4.6's ``default_rng`` and ``SeedSequence``.  ``budget`` has one
+digest over the README example, zero power (nothing transmittable), an
+infinite capacity and a quadruple wider than the capacity.
 """
 
 from __future__ import annotations
@@ -159,6 +161,34 @@ def sweep_digest(name: str, depth: int) -> str:
     return hashlib.sha256(table).hexdigest()
 
 
+BUDGET_BASE = ["budget", "--time", "1", "--bandwidth", "1000", "--power", "3",
+               "--gain", "1", "--noise", "1", "--bits-per-quad", "400",
+               "--graph-size", "10"]
+
+
+def with_flags(argv: list[str], **flags: str) -> list[str]:
+    argv = list(argv)
+    for flag, value in flags.items():
+        argv[argv.index("--" + flag.replace("_", "-")) + 1] = value
+    return argv
+
+
+BUDGET_CASES = (
+    BUDGET_BASE,
+    with_flags(BUDGET_BASE, power="0"),
+    with_flags(BUDGET_BASE, time="1e308", bandwidth="1e308", power="1e308",
+               gain="1e308", noise="1e308"),
+    with_flags(BUDGET_BASE, bits_per_quad="2001"),
+)
+
+
+def budget_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in BUDGET_CASES:
+        digest.update(run(argv))
+    return digest.hexdigest()
+
+
 SELECT_DIGESTS = {
     ("bruce", "proposed"):
         "799981c578c3f9e6d7626e6cfcaa92f4ced4694a5ce8c03616e0d0470d311278",
@@ -237,6 +267,8 @@ RANDOM_SWEEP_DIGESTS = {
     "stranded": "6822283d22967f8a4a06a157fd73169c3c93d0e8ae513ded05824d9590052a58",
 }
 
+BUDGET_DIGEST = "591fd3a22657bddb3ba6bd5b3d9ccb915e3da59d421be111687c9ec14346cc5f"
+
 SWEEP_DIGESTS = {
     ("bruce", 0): "0189538eb9c638d96348c343864220fba600275f5978db639a6e5b487526dc7b",
     ("bruce", 2): "463ccf4e0dc6b3498a32fbcc53cbe892e571dd8bdda22c3211f7d6cb3ba848d6",
@@ -277,3 +309,7 @@ def test_metrics_flags_bytes(name, strategy, tmp_path):
     assert metrics_flags_digest(name, strategy, tmp_path) == (
         METRICS_FLAGS_DIGESTS[name, strategy]
     )
+
+
+def test_budget_bytes():
+    assert budget_digest() == BUDGET_DIGEST
