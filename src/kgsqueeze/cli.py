@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import sys
 from math import isfinite
@@ -23,6 +22,7 @@ from .errors import KgsqueezeError
 from .experiments import ratio_grid, run_sweep
 from .graph import ProbabilityGraph
 from .io import (
+    _json_bytes,
     emit_run_records,
     emit_selection,
     emit_sweep_table,
@@ -228,11 +228,6 @@ def _write_stdout(data: bytes) -> None:
         raise KgsqueezeError(f"cannot write <stdout>: {exc.strerror or exc}") from None
 
 
-def _print_json(document: dict) -> None:
-    text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-    _write_stdout(text.encode("utf-8"))
-
-
 def _resolve_seed(given: int | None) -> int:
     if given is not None:
         return given
@@ -318,7 +313,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             for entity_id, (original, rec) in report.entity_counts.items()
         },
     }
-    _print_json(document)
+    _write_outputs([(None, _json_bytes(document))])
     return 0
 
 
@@ -338,7 +333,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     }
     if quota == 0:
         document["note"] = "nothing transmittable"
-    _print_json(document)
+    _write_outputs([(None, _json_bytes(document))])
     return 0
 
 

@@ -15,7 +15,7 @@ inputs give identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf, isclose, isfinite
 
 from .errors import (
@@ -27,12 +27,6 @@ from .graph import Entity, ProbabilityGraph, build_graph
 from .selection import STRATEGIES, SelectionConfig, SelectionResult, select
 
 SCHEMA_VERSION = 1
-
-#: Fixed column order of the sweep CSV.
-SWEEP_HEADER = "K,strategy,SU,SS,A,C,theta,H,effective_depth,runs_averaged"
-
-#: Fixed column order of the per-run random-baseline CSV.
-RUNS_HEADER = "K,run_index,seed,SU,SS,A,C,theta"
 
 
 @dataclass(frozen=True)
@@ -70,6 +64,13 @@ class RunRecord:
     theta: float
 
 
+#: Fixed column order of the sweep CSV: the SweepRow fields.
+SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+#: Fixed column order of the per-run random-baseline CSV: the RunRecord fields.
+RUNS_HEADER = ",".join(f.name for f in fields(RunRecord))
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """JSON object hook: a key given twice is an error, not last-wins."""
     obj = dict(pairs)
@@ -92,6 +93,11 @@ def _decode(data: bytes | str) -> object:
         return json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
+
+
+def _json_bytes(document: object) -> bytes:
+    """The one JSON layout of every document: two-space indent, UTF-8."""
+    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _require(obj: dict, key: str, kind: type, where: str) -> object:
@@ -210,7 +216,7 @@ def serialize_graph(graph: ProbabilityGraph) -> bytes:
             for q in graph.quadruples
         ],
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return _json_bytes(doc)
 
 
 def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
@@ -242,8 +248,7 @@ def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
 
 def emit_selection(result: SelectionResult, graph: ProbabilityGraph) -> bytes:
     """Selection to document bytes; equal inputs give identical bytes."""
-    doc = _selection_fields(result, graph)
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return _json_bytes(_selection_fields(result, graph))
 
 
 def parse_selection_document(
@@ -355,35 +360,27 @@ def _figure(value: float) -> str:
     return format(value, ".9g")
 
 
+def _table(rows: list, row_type: type) -> bytes:
+    """Rows to CSV bytes: one column per field of ``row_type``, in order.
+
+    Fields declared ``float`` go through ``_figure``, the rest through
+    ``str``; the declared type decides, not the value's.
+    """
+    columns = [(f.name, _figure if f.type in ("float", float) else str)
+               for f in fields(row_type)]
+    lines = [",".join(name for name, _ in columns)]
+    for row in rows:
+        lines.append(",".join(render(getattr(row, name)) for name, render in columns))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def emit_sweep_table(rows: list[SweepRow]) -> bytes:
     """Sweep rows to CSV bytes: fixed header, sorted by (strategy, K)."""
     if not rows:
         raise ValueError("sweep table needs at least one row")
-    lines = [SWEEP_HEADER]
-    for row in sorted(rows, key=lambda r: (r.strategy, r.K)):
-        lines.append(
-            ",".join(
-                (
-                    _figure(row.K),
-                    row.strategy,
-                    _figure(row.SU),
-                    _figure(row.SS),
-                    _figure(row.A),
-                    _figure(row.C),
-                    _figure(row.theta),
-                    str(row.H),
-                    str(row.effective_depth),
-                    str(row.runs_averaged),
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(sorted(rows, key=lambda r: (r.strategy, r.K)), SweepRow)
 
 
 def emit_run_records(records: list[RunRecord]) -> bytes:
     """Random-baseline run records to CSV bytes, in the order given."""
-    lines = [RUNS_HEADER]
-    for r in records:
-        figures = (_figure(v) for v in (r.SU, r.SS, r.A, r.C, r.theta))
-        lines.append(",".join((_figure(r.K), str(r.run_index), str(r.seed), *figures)))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _table(records, RunRecord)
