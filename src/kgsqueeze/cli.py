@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import errno
 import os
+import stat
 import sys
 from math import isfinite
 
@@ -175,9 +176,10 @@ def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
     A symlink is followed, so the file it names is written.  Each file is
     first written to a temporary file beside it; only once all of them
     are written, and no target is a directory, do they replace their
-    targets.  An existing target that is not a regular file (a FIFO or a
-    device) is written in place instead, just before the replacements.
-    A path of None means stdout.
+    targets.  A replaced file keeps its permission bits.  An existing
+    target that is not a regular file (a FIFO or a device) is written in
+    place instead, just before the replacements.  A path of None means
+    stdout.
     """
     staged: list[tuple[str, str, str]] = []
     in_place: list[tuple[str, bytes]] = []
@@ -186,15 +188,21 @@ def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
             if path is None:
                 continue
             real = os.path.realpath(path)
-            if os.path.isdir(real):
+            try:
+                mode = os.stat(real).st_mode
+            except OSError:  # no such file yet
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            if os.path.exists(real) and not os.path.isfile(real):
+            if mode is not None and not stat.S_ISREG(mode):
                 in_place.append((path, data))
                 continue
             directory, name = os.path.split(real)
             temp = os.path.join(directory, f".{name}.{os.getpid()}-{i}.tmp")
             with open(temp, "xb") as handle:
                 staged.append((temp, real, path))
+                if mode is not None:
+                    os.fchmod(handle.fileno(), stat.S_IMODE(mode))
                 handle.write(data)
         for path, data in in_place:
             with open(path, "wb") as handle:

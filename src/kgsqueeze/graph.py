@@ -158,6 +158,11 @@ def _build_distribution(
             f"{where}: confidence for unknown relation label(s) "
             f"{sorted(unknown)!r}"
         )
+    for label, value in confidences.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise BadDistributionError(
+                f"{where}: confidence for {label!r} must be a number"
+            )
     try:
         raw = [float(confidences.get(label, 0.0)) for label in relation_set]
     except OverflowError:  # an integer beyond the float range

@@ -15,6 +15,7 @@ inputs give identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from math import inf, isclose, isfinite
 
@@ -70,6 +71,9 @@ SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
 #: Fixed column order of the per-run random-baseline CSV: the RunRecord fields.
 RUNS_HEADER = ",".join(f.name for f in fields(RunRecord))
 
+#: A JSON escape that may decode to a lone surrogate, which UTF-8 cannot encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """JSON object hook: a key given twice is an error, not last-wins."""
@@ -84,15 +88,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _decode(data: bytes | str) -> object:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocumentError(f"not valid UTF-8: {exc}") from None
     try:
-        return json.loads(data, object_pairs_hook=_unique_keys)
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        else:
+            data.encode("utf-8")  # a str may hold a lone surrogate
+    except UnicodeError as exc:
+        raise MalformedDocumentError(f"not valid UTF-8: {exc}") from None
+    try:
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
+    if _SURROGATE_ESCAPE.search(data):  # rare, so the strings are checked only then
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedDocumentError(
+                f"not valid UTF-8: a string holds the lone surrogate "
+                f"{exc.object[exc.start]!r}"
+            ) from None
+    return doc
 
 
 def _json_bytes(document: object) -> bytes:
@@ -176,8 +191,6 @@ def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
         tail = _require(item, "tail", str, where)
         confidences = _require(item, "confidences", dict, where)
         for label, value in confidences.items():
-            if not isinstance(label, str):
-                raise SchemaViolationError(f"{where}: confidence keys must be strings")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaViolationError(
                     f"{where}: confidence for {label!r} must be a number"

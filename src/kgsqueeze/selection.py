@@ -248,9 +248,7 @@ def _pick(
         return sorted(pool, key=lambda i: (sign * counts[i], i))[:target]
     if strategy == "order_front":
         return pool[:target]
-    if strategy == "order_back":
-        return pool[len(pool) - target :][::-1]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return pool[len(pool) - target :][::-1]  # order_back
 
 
 def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:

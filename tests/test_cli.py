@@ -85,6 +85,31 @@ class TestExitCodes:
         assert "duplicate key 'text'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["select", "metrics", "sweep"])
+    def test_lone_surrogate_is_data_error(self, capsys, tmp_path, command):
+        text = (FIXTURE_DIR / "bruce.json").read_text(encoding="utf-8")
+        assert '"Ip Man"' in text
+        path = tmp_path / "surrogate.json"
+        path.write_text(text.replace('"Ip Man"', '"Ip Man\\ud800"'), encoding="utf-8")
+        sel, out = tmp_path / "sel.json", tmp_path / "out"
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", str(sel)]) == 0
+        capsys.readouterr()
+        argv = {
+            "select": ["select", "--input", str(path), "--k", "0.5", "--depth", "2",
+                       "--output", str(out)],
+            "metrics": ["metrics", "--input", str(path), "--selection", str(sel)],
+            "sweep": ["sweep", "--input", str(path), "--seed", "1", "--runs", "1",
+                      "--output", str(out)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: not valid UTF-8: a string holds the lone surrogate '\\ud800'\n"
+        )
+        assert not out.exists()
+
     def test_too_fine_grid_is_usage(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         # 1e-4 .. 1.0 by 9.999e-5 is MAX_GRID_POINTS + 1 points; the grid
@@ -185,6 +210,38 @@ class TestOutputFiles:
         assert f"error: cannot write {directory}: Is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
         assert list(directory.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", [0o600, 0o444], ids=["0600", "0444"])
+    @pytest.mark.parametrize("via_symlink", [False, True], ids=["file", "symlink"])
+    def test_existing_file_keeps_its_permission_bits(
+        self, capsys, tmp_path, mode, via_symlink
+    ):
+        targets = [tmp_path / name for name in ("sel.json", "out.csv", "runs.csv")]
+        paths = []
+        for target in targets:
+            target.write_bytes(b"old")
+            target.chmod(mode)
+            path = target
+            if via_symlink:
+                path = tmp_path / f"link-{target.name}"
+                path.symlink_to(target.name)
+            paths.append(str(path))
+        sel, out, dump = paths
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", sel]) == 0
+        assert self.sweep_one_point(out, dump) == 0
+        for target in targets:
+            assert stat.S_IMODE(os.stat(target).st_mode) == mode
+            assert target.read_bytes() != b"old"
+        assert len(list(tmp_path.iterdir())) == (6 if via_symlink else 3)
+
+    def test_new_file_gets_the_default_mode(self, capsys, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        out = tmp_path / "sel.json"
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     def test_select_into_missing_dir(self, capsys, tmp_path):
         assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",

@@ -131,6 +131,23 @@ class TestBuildGraph:
         with pytest.raises(kq.BadDistributionError, match="outside"):
             tiny_graph({"r1": huge})
 
+    @pytest.mark.parametrize(
+        "confidences",
+        [{"r1": "0.5", "r2": "0.5"}, {"r1": True}, {"r1": 0.5, "r2": False},
+         {"r1": None}, {"r1": [1.0]}],
+        ids=["str", "true", "false", "none", "list"],
+    )
+    def test_confidence_must_be_a_number(self, confidences):
+        label = next(k for k, v in confidences.items() if type(v) is not float)
+        with pytest.raises(
+            kq.BadDistributionError,
+            match=f"candidate 0: confidence for '{label}' must be a number",
+        ):
+            tiny_graph(confidences)
+
+    def test_int_confidence_accepted(self):
+        assert tiny_graph({"r1": 1, "r2": 0}).quadruples[0].top_probability == 1.0
+
     def test_unknown_relation_label_rejected(self):
         with pytest.raises(kq.BadDistributionError):
             tiny_graph({"r1": 0.5, "nope": 0.5})

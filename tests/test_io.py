@@ -135,6 +135,46 @@ class TestGraphDocumentErrors:
         with pytest.raises(kq.SchemaViolationError, match="duplicate key 'text'"):
             kq.parse_graph_document(text)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"surface": "b"', '"surface": "Ada\\ud800"'),
+            ('"surface": "b"', '"surface": "Ada\\uDC00"'),
+            ('"text": "a b c"', '"text": "a \\udfff b c"'),
+            ('{"r1": 1.0}', '{"r1\\uD83D": 1.0}'),
+        ],
+        ids=["high", "low-upper-case", "text", "key"],
+    )
+    def test_escaped_lone_surrogate_rejected(self, old, new):
+        text = as_bytes(valid_doc()).decode("utf-8")
+        assert old in text
+        with pytest.raises(kq.MalformedDocumentError, match="lone surrogate"):
+            kq.parse_graph_document(text.replace(old, new).encode("utf-8"))
+
+    def test_raw_lone_surrogate_in_str_rejected(self):
+        text = as_bytes(valid_doc()).decode("utf-8").replace(
+            '"surface": "b"', '"surface": "Ada\ud800"'
+        )
+        with pytest.raises(kq.MalformedDocumentError, match="UTF-8"):
+            kq.parse_graph_document(text)
+
+    @pytest.mark.parametrize("as_str", [False, True], ids=["bytes", "str"])
+    def test_escaped_surrogate_pair_and_escaped_backslash_accepted(self, as_str):
+        text = as_bytes(valid_doc()).decode("utf-8").replace(
+            '"surface": "b"', '"surface": "Ada\\ud83d\\ude00"'
+        ).replace('"surface": "c"', '"surface": "c\\\\ud800"')
+        graph = kq.parse_graph_document(text if as_str else text.encode("utf-8"))
+        assert graph.entity("b").surface == "Ada\U0001F600"
+        assert graph.entity("c").surface == "c\\ud800"
+        assert kq.parse_graph_document(kq.serialize_graph(graph)) == graph
+
+    def test_lone_surrogate_in_selection_document_rejected(self, bruce):
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        text = kq.emit_selection(result, bruce).decode("utf-8")
+        text = text.replace('"strategy": "proposed"', '"strategy": "proposed\\ud800"')
+        with pytest.raises(kq.MalformedDocumentError, match="lone surrogate"):
+            kq.parse_selection_document(text, bruce)
+
     def test_semantic_errors_carry_candidate_index(self):
         doc = valid_doc()
         doc["candidates"][1]["head"] = "ghost"
