@@ -159,7 +159,10 @@ def _build_distribution(
             f"{sorted(unknown)!r}"
         )
     for label, value in confidences.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # type() first: nearly every confidence is a plain float.
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
             raise BadDistributionError(
                 f"{where}: confidence for {label!r} must be a number"
             )

@@ -101,6 +101,8 @@ def _decode(data: bytes | str) -> object:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
     if _SURROGATE_ESCAPE.search(data):  # rare, so the strings are checked only then
         try:
+            # Not _json_bytes: without an indent the C encoder runs, which
+            # nests no deeper than json.loads just did.
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedDocumentError(

@@ -1,6 +1,7 @@
 """Document parsing, emission, and the sweep CSV shape."""
 
 import json
+import sys
 
 import pytest
 
@@ -150,6 +151,11 @@ class TestGraphDocumentErrors:
         assert old in text
         with pytest.raises(kq.MalformedDocumentError, match="lone surrogate"):
             kq.parse_graph_document(text.replace(old, new).encode("utf-8"))
+
+    def test_nested_lone_surrogate_is_always_a_structured_error(self):
+        for depth in range(sys.getrecursionlimit() + 20):
+            with pytest.raises(kq.MalformedDocumentError):
+                kq.parse_graph_document("[" * depth + '"\\ud800"' + "]" * depth)
 
     def test_raw_lone_surrogate_in_str_rejected(self):
         text = as_bytes(valid_doc()).decode("utf-8").replace(
