@@ -30,7 +30,8 @@ class EmptyGraphError(KgsqueezeError):
 
 
 class MalformedDocumentError(KgsqueezeError):
-    """Input bytes are not a syntactically valid document."""
+    """Input bytes are not a syntactically valid document, or a string
+    holds a lone surrogate, which no UTF-8 document can carry."""
 
 
 class SchemaViolationError(KgsqueezeError):

@@ -10,7 +10,12 @@ source text and the entity table, is the unit every other module
 operates on.
 
 All types are frozen dataclasses: immutable after construction and safe
-to share across threads.
+to share across threads.  A graph object keeps private caches of facts
+derived from it (its entity index, selection facts, sentences and
+original-text counts) in its instance ``__dict__``, outside equality and
+hashing.  They are filled on first use; filling them is idempotent, since
+every entry is a function of the graph alone, so a lost race only
+computes an entry twice.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from math import fsum, log2
 from .errors import (
     BadDistributionError,
     EmptyGraphError,
+    MalformedDocumentError,
     SelfLoopError,
     UnknownEntityError,
 )
@@ -193,17 +199,32 @@ def _build_distribution(
     return RelationDistribution(relation_set, normalized), warning
 
 
+def _require_utf8(value: object, field: str) -> None:
+    """Reject a string UTF-8 cannot encode (a lone surrogate): no
+    document could carry it, so no emitter could write the graph.
+    A value that is not a ``str`` is not checked here."""
+    try:
+        if isinstance(value, str):
+            value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedDocumentError(
+            f"{field} is not valid UTF-8: it holds the lone surrogate "
+            f"{exc.object[exc.start]!r}"
+        ) from None
+
+
 def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
     labels = tuple(relation_set)
     if len(labels) < 2:
         raise BadDistributionError("relation set needs at least 2 labels")
     seen = set()
-    for label in labels:
+    for i, label in enumerate(labels):
         if not isinstance(label, str) or not label or label != label.strip():
             raise BadDistributionError(
                 f"bad relation label {label!r}: must be non-empty, no "
                 "leading/trailing whitespace"
             )
+        _require_utf8(label, f"relation_set[{i}]")
         if label in seen:
             raise BadDistributionError(f"duplicate relation label {label!r}")
         seen.add(label)
@@ -213,7 +234,9 @@ def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
 def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
     out = tuple(entities)
     seen = set()
-    for e in out:
+    for i, e in enumerate(out):
+        _require_utf8(e.id, f"entities[{i}].id")
+        _require_utf8(e.surface, f"entities[{i}].surface")
         if not e.id:
             raise UnknownEntityError("entity with empty id")
         if e.id in seen:
@@ -240,7 +263,10 @@ def build_graph(
     top relation and top probability are computed here.  Candidate order
     is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
     renormalized (recorded in ``graph.warnings``); anything else raises.
+    A lone surrogate in the text, an entity id or surface, or a relation
+    label raises ``MalformedDocumentError`` naming the field.
     """
+    _require_utf8(text, "text")
     labels = _validated_relation_set(relation_set)
     ents = _validated_entities(entities)
     ids = {e.id for e in ents}

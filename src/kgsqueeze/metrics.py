@@ -12,6 +12,12 @@ probabilities of the selection.
 The recovered text is pluggable.  ``verbalize`` renders a deterministic
 one-sentence-per-quadruple stand-in; callers with an external recovery
 model (e.g. a generative one) pass its output instead.
+
+What depends on the graph alone is computed once per graph object, on
+first use, and kept in its instance ``__dict__``: each quadruple's
+sentence, and per case mode the normalized original text plus each
+entity's normalized surface and its count there.  A scoring then only
+normalizes and counts in the recovered text.
 """
 
 from __future__ import annotations
@@ -79,15 +85,36 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
 
     Each sentence is "<head surface> <top relation> <tail surface>.", in
     selection order, joined by single spaces.  Deterministic by
-    construction, so reports built on it are reproducible.
+    construction, so reports built on it are reproducible.  A quadruple's
+    sentence is rendered on its first use and kept on the graph object.
     """
-    sentences = []
+    # Kept in the graph's instance __dict__ like its entity index, so
+    # outside equality and hashing; filled one quadruple at a time.
+    sentences = graph.__dict__.setdefault("_sentences", {})
     for i in result.selected:
-        q = graph.quadruples[i]
-        head = graph.entity(q.head).surface
-        tail = graph.entity(q.tail).surface
-        sentences.append(f"{head} {q.top_relation} {tail}.")
-    return " ".join(sentences)
+        if i not in sentences:
+            q = graph.quadruples[i]
+            head = graph.entity(q.head).surface
+            tail = graph.entity(q.tail).surface
+            sentences[i] = f"{head} {q.top_relation} {tail}."
+    return " ".join([sentences[i] for i in result.selected])
+
+
+def _original_counts(
+    graph: ProbabilityGraph, case_insensitive: bool
+) -> tuple[str, dict[str, tuple[str, int]]]:
+    """The graph's normalized text and, per entity id counted so far, its
+    normalized surface and that surface's count in the text; one pair per
+    case mode, kept in the graph's instance ``__dict__``.  ``similarity``
+    fills the map one entity at a time.
+    """
+    modes = graph.__dict__.setdefault("_original_counts", {})
+    entry = modes.get(case_insensitive)
+    if entry is None:
+        entry = modes.setdefault(
+            case_insensitive, (_normalize(graph.text, case_insensitive), {})
+        )
+    return entry
 
 
 def similarity(
@@ -112,18 +139,25 @@ def similarity(
     selection.  phi in [0, 1] steers the weighting: phi = 1 reduces the
     score to theta * C, phi = 0 to theta * A.  The score is 0 whenever
     the denominator is.
+
+    The original text and each entity's count in it are taken once per
+    graph object and case mode; ``entity_counts`` is a fresh dict on
+    every call.
     """
     if not 0.0 <= phi <= 1.0:
         raise InvalidPhiError(f"phi must be in [0, 1], got {phi!r}")
-    original = _normalize(graph.text, case_insensitive)
+    original, surfaces = _original_counts(graph, case_insensitive)
     recovered = _normalize(recovered_text, case_insensitive)
     counts = {}
     for i in result.selected:
         q = graph.quadruples[i]
         for entity_id in (q.head, q.tail):
             if entity_id not in counts:
-                surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
-                counts[entity_id] = (original.count(surface), recovered.count(surface))
+                if entity_id not in surfaces:
+                    surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
+                    surfaces[entity_id] = (surface, original.count(surface))
+                surface, in_original = surfaces[entity_id]
+                counts[entity_id] = (in_original, recovered.count(surface))
     shared = sum(min(o, r) for o, r in counts.values())
     original_total = sum(o for o, _ in counts.values())
     recovered_total = sum(r for _, r in counts.values())

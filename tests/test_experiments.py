@@ -1,10 +1,12 @@
 """Ratio grid arithmetic and sweep determinism."""
 
+from collections import Counter
 from math import fsum
 
 import pytest
 
 import kgsqueeze as kq
+from kgsqueeze import experiments
 
 
 class TestRatioGrid:
@@ -102,6 +104,22 @@ class TestRunSweep:
             hangzhou, k_from=0.2, k_to=0.4, k_step=0.2, runs=3, seed=11
         )
         assert records == again
+
+    def test_scoring_goes_through_the_module_names(self, hangzhou, monkeypatch):
+        # benchmarks/tracing.py times metrics.similarity and metrics.verbalize
+        # by patching these two names; every evaluation must call both.
+        calls = Counter()
+        for name in ("similarity", "verbalize"):
+            def counted(*args, _name=name, _original=getattr(experiments, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        runs = 3
+        kq.run_sweep(hangzhou, runs=runs, seed=1)
+        # The five other strategies run once per grid point, random `runs` times.
+        evaluations = len(kq.ratio_grid(0.1, 1.0, 0.1)) * (5 + runs)
+        assert calls == {"similarity": evaluations, "verbalize": evaluations}
 
     def test_runs_validation(self, hangzhou):
         with pytest.raises(ValueError):

@@ -148,6 +148,34 @@ class TestBuildGraph:
     def test_int_confidence_accepted(self):
         assert tiny_graph({"r1": 1, "r2": 0}).quadruples[0].top_probability == 1.0
 
+    @pytest.mark.parametrize(
+        "text, labels, entities, field",
+        [
+            ("a\ud800 b", ("r1", "r2"), None, "text"),
+            ("a b", ("r1", "r\udfff"), None, r"relation_set\[1\]"),
+            ("a b", ("r1", "r2"), [kq.Entity("a\udc00", "a")], r"entities\[0\]\.id"),
+            ("a b", ("r1", "r2"), [kq.Entity("a", "Ada\ud800")], r"entities\[0\]\.surface"),
+        ],
+        ids=["text", "relation_label", "entity_id", "entity_surface"],
+    )
+    def test_lone_surrogate_rejected(self, text, labels, entities, field):
+        entities = (entities or [kq.Entity("a", "a")]) + [kq.Entity("b", "b")]
+        with pytest.raises(
+            kq.MalformedDocumentError,
+            match=f"^{field} is not valid UTF-8: it holds the lone surrogate",
+        ):
+            kq.build_graph(text, labels, entities, [("a", "b", {"r1": 1.0})])
+
+    def test_astral_character_builds_and_serializes(self):
+        g = kq.build_graph(
+            "Ada \U0001f600 b", ("r1", "r2\U0001f600"),
+            [kq.Entity("a", "Ada \U0001f600"), kq.Entity("b", "b")],
+            [("a", "b", {"r1": 1.0})],
+        )
+        assert kq.parse_graph_document(kq.serialize_graph(g)) == g
+        result = kq.select(g, kq.SelectionConfig(1.0, 1))
+        assert kq.emit_selection(result, g).decode("utf-8")
+
     def test_unknown_relation_label_rejected(self):
         with pytest.raises(kq.BadDistributionError):
             tiny_graph({"r1": 0.5, "nope": 0.5})
@@ -230,15 +258,26 @@ class TestBuildGraph:
     def test_entity_index_stays_outside_equality_hash_and_pickle(self, bruce):
         config = kq.SelectionConfig(0.5, 2, "entity_freq_desc")
         bruce.entity("bruce_lee")
-        kq.select(bruce, config)
+        result = kq.select(bruce, config)
+        text = kq.verbalize(result, bruce)
+        for case_insensitive in (False, True):
+            kq.similarity(bruce, result, text, case_insensitive=case_insensitive)
         fresh = kq.parse_graph_document(kq.serialize_graph(bruce))
-        for cache in ("_by_id", "_selection_facts"):
+        caches = ("_by_id", "_selection_facts", "_sentences", "_original_counts")
+        for cache in caches:
             assert cache in bruce.__dict__ and cache not in fresh.__dict__
         assert fresh == bruce and hash(fresh) == hash(bruce)
         again = pickle.loads(pickle.dumps(bruce))
         assert again == bruce
+        for cache in ("_sentences", "_original_counts"):
+            assert again.__dict__[cache] == bruce.__dict__[cache]
         assert again.entity("bruce_lee") == bruce.entity("bruce_lee")
         assert kq.select(again, config) == kq.select(fresh, config)
+        assert kq.verbalize(result, again) == kq.verbalize(result, fresh) == text
+        for case_insensitive in (False, True):
+            assert kq.similarity(
+                again, result, text, case_insensitive=case_insensitive
+            ) == kq.similarity(fresh, result, text, case_insensitive=case_insensitive)
 
 
 class TestFixtureEntropies:

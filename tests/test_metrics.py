@@ -1,5 +1,8 @@
 """Occurrence counting, verbalization, and the similarity score."""
 
+import dataclasses
+import random
+from collections import Counter
 from math import fsum
 
 import numpy as np
@@ -8,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
+from kgsqueeze import metrics
 
-from conftest import random_graph
+from conftest import FIXTURE_DIR, random_graph
 
 
 def make_result(selected):
@@ -256,3 +260,113 @@ class TestSimilarity:
         assert 0.0 <= report.completeness <= 1.0
         assert 0.0 <= report.theta <= len(r.selected) + 1e-9
         assert report.similarity >= 0.0
+
+
+def fresh_fixture(name):
+    """A graph object no other test has filled caches on."""
+    return kq.parse_graph_document((FIXTURE_DIR / f"{name}.json").read_bytes())
+
+
+class TestScoringCaches:
+    """Sentences and original-text counts are kept per graph object."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=SCORING_TEXT,
+        surfaces=st.lists(SCORING_SURFACE, min_size=2, max_size=5),
+        selections=st.lists(
+            st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=3
+        ),
+        recovered=st.lists(SCORING_TEXT, min_size=1, max_size=2),
+        shuffler=st.randoms(use_true_random=False),
+    )
+    @example(
+        text="aA a\ta  A a b",
+        surfaces=["a", "A", "a a", "a\t\ta", "aA"],
+        selections=[[0, 1], [3, 2, 5]],
+        recovered=["A\n a aa"],
+        shuffler=random.Random(0),
+    )
+    def test_cached_calls_match_fresh_graphs(
+        self, text, surfaces, selections, recovered, shuffler
+    ):
+        # Overlapping, nested and case-variant surfaces with whitespace runs.
+        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+        pairs = [(f"e{i}", f"e{i + 1}") for i in range(len(surfaces) - 1)]
+        candidates = [(h, t, {"r1": 1.0}) for h, t in pairs]
+        candidates += [(t, h, {"r2": 0.75, "r1": 0.25}) for h, t in pairs]
+        graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
+        results = [
+            make_result(dict.fromkeys(i % len(candidates) for i in selected))
+            for selected in selections
+        ]
+        calls = [(result, None) for result in results]
+        calls += [
+            (result, (recovered_text, phi, case_insensitive))
+            for result in results
+            for recovered_text in [*recovered, None]  # None: verbalized
+            for phi in (0.0, 0.3, 1.0)
+            for case_insensitive in (False, True)
+        ]
+        shuffler.shuffle(calls)
+        for result, scoring in calls:
+            fresh = dataclasses.replace(graph)
+            if scoring is None:
+                assert kq.verbalize(result, graph) == kq.verbalize(result, fresh)
+                continue
+            recovered_text, phi, case_insensitive = scoring
+            assert kq.similarity(
+                graph, result,
+                kq.verbalize(result, graph) if recovered_text is None else recovered_text,
+                phi, case_insensitive,
+            ) == kq.similarity(
+                fresh, result,
+                kq.verbalize(result, fresh) if recovered_text is None else recovered_text,
+                phi, case_insensitive,
+            )
+
+    def test_original_text_normalized_once_per_graph_and_case_mode(self, monkeypatch):
+        calls = Counter()
+        original = metrics._normalize
+
+        def counted(text, case_insensitive):
+            calls[text, case_insensitive] += 1
+            return original(text, case_insensitive)
+
+        monkeypatch.setattr(metrics, "_normalize", counted)
+        graph = fresh_fixture("bruce")
+        kq.run_sweep(graph, runs=3, seed=1)
+        assert calls[graph.text, False] == 1 and calls[graph.text, True] == 0
+        endpoints = {x for q in graph.quadruples for x in (q.head, q.tail)}
+        for entity_id in endpoints:  # K = 1.0 selects every quadruple
+            assert calls[graph.entity(entity_id).surface, False] == 1
+        result = kq.select(graph, kq.SelectionConfig(0.5, 2))
+        for _ in range(2):
+            kq.similarity(graph, result, "Bruce Lee", case_insensitive=True)
+        assert calls[graph.text, False] == 1 and calls[graph.text, True] == 1
+        kq.run_sweep(fresh_fixture("bruce"), runs=3, seed=1)
+        assert calls[graph.text, False] == 2
+
+    def test_caches_fill_one_entry_at_a_time(self):
+        graph = fresh_fixture("hangzhou")
+        result = make_result([3])
+        assert kq.verbalize(result, graph) == "Chu Kochen born on 1890.3.7."
+        assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
+        assert "_original_counts" not in graph.__dict__
+        kq.similarity(graph, result, "Chu Kochen")
+        modes = graph.__dict__["_original_counts"]
+        assert list(modes) == [False]
+        assert modes[False][1] == {
+            "chu_kochen": ("Chu Kochen", 1),
+            "birth_date": ("1890.3.7", 1),
+        }
+        assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
+
+    def test_entity_counts_is_a_fresh_dict(self):
+        graph = fresh_fixture("hangzhou")
+        first = kq.similarity(graph, make_result([3]), "Chu Kochen")
+        first.entity_counts["chu_kochen"] = (99, 99)
+        first.entity_counts["nobody"] = (1, 1)
+        second = kq.similarity(graph, make_result([3]), "Chu Kochen")
+        assert second.entity_counts == {"chu_kochen": (1, 1), "birth_date": (1, 0)}
+        assert second.entity_counts is not first.entity_counts
