@@ -46,7 +46,6 @@ from .metrics import (
     DEFAULT_PHI,
     MetricsReport,
     count_occurrences,
-    semantic_uncertainty,
     similarity,
     verbalize,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "run_sweep",
     "select",
     "select_initial_node",
-    "semantic_uncertainty",
     "serialize_graph",
     "similarity",
     "verbalize",

@@ -35,7 +35,8 @@ class MalformedDocumentError(KgsqueezeError):
 
 
 class SchemaViolationError(KgsqueezeError):
-    """A syntactically valid document does not match the expected schema."""
+    """A syntactically valid document does not match the expected schema,
+    or ``build_graph`` got a field of a type no document could carry."""
 
 
 class SelectionMismatchError(KgsqueezeError):

@@ -69,12 +69,10 @@ def run_sweep(
     records = []
     for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):
         for strategy in STRATEGIES:
-            if strategy == "random":
-                run_seeds = [derive_seed(seed, grid_index, i) for i in range(runs)]
-            else:
-                run_seeds = [None]
+            seeded = strategy == "random"
             figures = []
-            for run_index, run_seed in enumerate(run_seeds):
+            for run_index in range(runs if seeded else 1):
+                run_seed = derive_seed(seed, grid_index, run_index) if seeded else None
                 result = select(graph, SelectionConfig(ratio, depth, strategy, run_seed))
                 report = similarity(graph, result, verbalize(result, graph), phi)
                 run = (
@@ -85,7 +83,7 @@ def run_sweep(
                     report.theta,
                 )
                 figures.append(run)
-                if strategy == "random":
+                if seeded:
                     records.append(RunRecord(ratio, run_index, run_seed, *run))
             means = [fsum(column) / len(figures) for column in zip(*figures)]
             rows.append(

@@ -30,6 +30,7 @@ from .errors import (
     BadDistributionError,
     EmptyGraphError,
     MalformedDocumentError,
+    SchemaViolationError,
     SelfLoopError,
     UnknownEntityError,
 )
@@ -199,13 +200,14 @@ def _build_distribution(
     return RelationDistribution(relation_set, normalized), warning
 
 
-def _require_utf8(value: object, field: str) -> None:
-    """Reject a string UTF-8 cannot encode (a lone surrogate): no
-    document could carry it, so no emitter could write the graph.
-    A value that is not a ``str`` is not checked here."""
+def _require_str(value: object, field: str) -> None:
+    """Reject a value that is not a ``str``, or a string UTF-8 cannot
+    encode (a lone surrogate): no document could carry either, so no
+    emitter could write the graph."""
+    if not isinstance(value, str):
+        raise SchemaViolationError(f"{field} must be a str, got {type(value).__name__}")
     try:
-        if isinstance(value, str):
-            value.encode("utf-8")
+        value.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise MalformedDocumentError(
             f"{field} is not valid UTF-8: it holds the lone surrogate "
@@ -224,7 +226,7 @@ def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
                 f"bad relation label {label!r}: must be non-empty, no "
                 "leading/trailing whitespace"
             )
-        _require_utf8(label, f"relation_set[{i}]")
+        _require_str(label, f"relation_set[{i}]")
         if label in seen:
             raise BadDistributionError(f"duplicate relation label {label!r}")
         seen.add(label)
@@ -235,8 +237,14 @@ def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
     out = tuple(entities)
     seen = set()
     for i, e in enumerate(out):
-        _require_utf8(e.id, f"entities[{i}].id")
-        _require_utf8(e.surface, f"entities[{i}].surface")
+        _require_str(e.id, f"entities[{i}].id")
+        _require_str(e.surface, f"entities[{i}].surface")
+        index = e.first_token_index
+        if isinstance(index, bool) or not isinstance(index, (int, type(None))):
+            raise SchemaViolationError(
+                f"entities[{i}].first_token_index must be an int, "
+                f"got {type(index).__name__}"
+            )
         if not e.id:
             raise UnknownEntityError("entity with empty id")
         if e.id in seen:
@@ -244,7 +252,7 @@ def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
         seen.add(e.id)
         if not e.surface.split():
             raise UnknownEntityError(f"entity {e.id!r} has an empty surface")
-        if e.first_token_index is not None and e.first_token_index < 0:
+        if index is not None and index < 0:
             raise UnknownEntityError(
                 f"entity {e.id!r} has negative first_token_index"
             )
@@ -263,10 +271,12 @@ def build_graph(
     top relation and top probability are computed here.  Candidate order
     is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
     renormalized (recorded in ``graph.warnings``); anything else raises.
-    A lone surrogate in the text, an entity id or surface, or a relation
-    label raises ``MalformedDocumentError`` naming the field.
+    A text, entity id or surface that is not a ``str``, or a
+    ``first_token_index`` that is not an ``int``, raises
+    ``SchemaViolationError`` naming the field; a lone surrogate in any of
+    those strings or in a relation label raises ``MalformedDocumentError``.
     """
-    _require_utf8(text, "text")
+    _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
     ents = _validated_entities(entities)
     ids = {e.id for e in ents}

@@ -68,9 +68,6 @@ class RunRecord:
 #: Fixed column order of the sweep CSV: the SweepRow fields.
 SWEEP_HEADER = ",".join(f.name for f in fields(SweepRow))
 
-#: Fixed column order of the per-run random-baseline CSV: the RunRecord fields.
-RUNS_HEADER = ",".join(f.name for f in fields(RunRecord))
-
 #: A JSON escape that may decode to a lone surrogate, which UTF-8 cannot encode.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -87,7 +84,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _decode(data: bytes | str) -> object:
+def _document(data: bytes | str, where: str) -> dict:
+    """Decode a document: UTF-8 JSON whose root is an object carrying
+    this ``SCHEMA_VERSION``; ``where`` names the kind in messages."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -109,6 +108,11 @@ def _decode(data: bytes | str) -> object:
                 f"not valid UTF-8: a string holds the lone surrogate "
                 f"{exc.object[exc.start]!r}"
             ) from None
+    if not isinstance(doc, dict):
+        raise SchemaViolationError("document root must be an object")
+    version = _require(doc, "schema_version", int, where)
+    if version != SCHEMA_VERSION:
+        raise SchemaViolationError(f"{where}: unsupported schema_version {version!r}")
     return doc
 
 
@@ -144,14 +148,6 @@ def _require_number(obj: dict, key: str, where: str) -> float:
     return value
 
 
-def _check_version(doc: dict, where: str) -> None:
-    version = _require(doc, "schema_version", int, where)
-    if version != SCHEMA_VERSION:
-        raise SchemaViolationError(
-            f"{where}: unsupported schema_version {version!r}"
-        )
-
-
 def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
     """Parse and validate a graph document into a ProbabilityGraph.
 
@@ -159,10 +155,7 @@ def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
     on structural problems, and the graph construction errors (with the
     offending candidate index in the message) on semantic ones.
     """
-    doc = _decode(data)
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("document root must be an object")
-    _check_version(doc, "document")
+    doc = _document(data, "document")
     text = _require(doc, "text", str, "document")
 
     relation_set = _require(doc, "relation_set", list, "document")
@@ -275,10 +268,7 @@ def parse_selection_document(
     field the document has must match the replay (reals within 1e-9, the
     rest exactly, ``selected`` entry by entry), else SelectionMismatchError.
     """
-    doc = _decode(data)
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("document root must be an object")
-    _check_version(doc, "selection")
+    doc = _document(data, "selection")
     strategy = _require(doc, "strategy", str, "selection")
     if strategy not in STRATEGIES:
         raise SchemaViolationError(f"unknown strategy {strategy!r}")

@@ -53,11 +53,6 @@ class MetricsReport:
     entity_counts: Mapping[str, tuple[int, int]]
 
 
-def semantic_uncertainty(result: SelectionResult, graph: ProbabilityGraph) -> float:
-    """Summed entropy of the selected quadruples, in bits."""
-    return fsum(graph.quadruples[i].entropy for i in result.selected)
-
-
 def _normalize(text: str, case_insensitive: bool) -> str:
     """Collapse whitespace runs to single spaces, then casefold if asked."""
     text = " ".join(text.split())
@@ -163,11 +158,12 @@ def similarity(
     recovered_total = sum(r for _, r in counts.values())
     acc = shared / recovered_total if recovered_total else 0.0
     comp = shared / original_total if original_total else 0.0
+    uncertainty = fsum(graph.quadruples[i].entropy for i in result.selected)
     theta = fsum(graph.quadruples[i].top_probability for i in result.selected)
     denominator = phi * acc + (1.0 - phi) * comp
     score = theta * acc * comp / denominator if denominator > 0.0 else 0.0
     return MetricsReport(
-        semantic_uncertainty=semantic_uncertainty(result, graph),
+        semantic_uncertainty=uncertainty,
         accuracy=acc,
         completeness=comp,
         theta=theta,

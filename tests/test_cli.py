@@ -120,6 +120,16 @@ class TestExitCodes:
         assert "grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "inf"])
+    def test_k_step_must_be_positive_and_finite(self, capsys, tmp_path, step):
+        out = tmp_path / "t.csv"
+        assert main(["sweep", "--input", BRUCE, "--k-step", step,
+                     "--output", str(out)]) == 1
+        assert f"--k-step: must be positive and finite, got {step}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
     def test_jobs_must_be_a_positive_int(self, capsys, tmp_path, jobs):
         out = tmp_path / "t.csv"
@@ -590,6 +600,15 @@ class TestBudget:
         argv = list(self.BASE) + ["--graph-size", "10"]
         argv[argv.index("--power") + 1] = "-1"
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("flag", ["--time", "--bandwidth", "--noise"])
+    def test_zero_time_bandwidth_or_noise_is_usage(self, capsys, flag):
+        argv = list(self.BASE) + ["--graph-size", "10"]
+        argv[argv.index(flag) + 1] = "0"
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be positive and finite, got 0" in captured.err
 
     def test_quadruple_wider_than_any_float_transmits_nothing(self, capsys):
         argv = list(self.BASE) + ["--graph-size", "10"]

@@ -166,6 +166,27 @@ class TestBuildGraph:
         ):
             kq.build_graph(text, labels, entities, [("a", "b", {"r1": 1.0})])
 
+    @pytest.mark.parametrize(
+        "text, entity, message",
+        [
+            (None, kq.Entity("a", "a"), "text must be a str, got NoneType"),
+            ("a b", kq.Entity(7, "a"), r"entities\[0\]\.id must be a str, got int"),
+            ("a b", kq.Entity("a", 7), r"entities\[0\]\.surface must be a str, got int"),
+            ("a b", kq.Entity("a", "a", 0.0),
+             r"entities\[0\]\.first_token_index must be an int, got float"),
+            ("a b", kq.Entity("a", "a", True),
+             r"entities\[0\]\.first_token_index must be an int, got bool"),
+        ],
+        ids=["none_text", "int_id", "int_surface", "float_token_index",
+             "bool_token_index"],
+    )
+    def test_field_of_the_wrong_type_rejected(self, text, entity, message):
+        with pytest.raises(kq.SchemaViolationError, match=f"^{message}$"):
+            kq.build_graph(
+                text, ("r1", "r2"), [entity, kq.Entity("b", "b")],
+                [(entity.id, "b", {"r1": 1.0})],
+            )
+
     def test_astral_character_builds_and_serializes(self):
         g = kq.build_graph(
             "Ada \U0001f600 b", ("r1", "r2\U0001f600"),
@@ -201,7 +222,7 @@ class TestBuildGraph:
             kq.build_graph("a b", ("r1", "r2"), two_entities(), [])
 
     def test_relation_set_needs_two_distinct_labels(self):
-        for labels in (("r1",), ("r1", "r1"), ("r1", " pad "), ("r1", "")):
+        for labels in (("r1",), ("r1", "r1"), ("r1", " pad "), ("r1", ""), ("r1", 2)):
             with pytest.raises(kq.BadDistributionError):
                 kq.build_graph(
                     "a b", labels, two_entities(), [("a", "b", {"r1": 1.0})]

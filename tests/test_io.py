@@ -259,6 +259,33 @@ class TestSelectionDocuments:
         with pytest.raises(kq.SchemaViolationError, match="strategy"):
             kq.parse_selection_document(json.dumps(doc))
 
+    @pytest.mark.parametrize("parse", [kq.parse_graph_document,
+                                       kq.parse_selection_document],
+                             ids=["graph", "selection"])
+    @pytest.mark.parametrize("root", [b"[1, 2]", b"7", b'"doc"', b"null"])
+    def test_document_root_must_be_an_object(self, parse, root):
+        with pytest.raises(kq.SchemaViolationError,
+                           match="^document root must be an object$"):
+            parse(root)
+
+    @pytest.mark.parametrize("field", ["K", "SU"])
+    def test_missing_figure_rejected(self, bruce, field):
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        del doc[field]
+        with pytest.raises(kq.SchemaViolationError,
+                           match=f"^selection: missing field '{field}'$"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
+    @pytest.mark.parametrize("entry", [[0], 0, "x", None], ids=repr)
+    def test_selected_entry_must_be_an_object(self, bruce, entry):
+        result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["selected"][1] = entry
+        with pytest.raises(kq.SchemaViolationError,
+                           match=r"^selected\[1\] must be an object$"):
+            kq.parse_selection_document(json.dumps(doc), bruce)
+
     def test_fallback_flag_must_be_bool(self, bruce):
         result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))

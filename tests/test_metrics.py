@@ -238,9 +238,10 @@ class TestSimilarity:
         )
         assert report.theta == expected
 
-    def test_semantic_uncertainty_matches_helper(self, bruce):
+    def test_semantic_uncertainty_is_summed_entropy(self, bruce):
         r = kq.select(bruce, kq.SelectionConfig(0.7, 9))
-        assert kq.semantic_uncertainty(r, bruce) == fsum(
+        report = kq.similarity(bruce, r, bruce.text)
+        assert report.semantic_uncertainty == fsum(
             bruce.quadruples[i].entropy for i in r.selected
         )
 

@@ -337,6 +337,11 @@ class TestStrategies:
         assert len(seen) > 10
         assert other.quota == 3
 
+    def test_graph_without_quadruples_rejected(self):
+        graph = kq.ProbabilityGraph("a b", ("r1", "r2"), (kq.Entity("a", "a"),), ())
+        with pytest.raises(kq.EmptyGraphError, match="cannot select from an empty graph"):
+            kq.select(graph, kq.SelectionConfig(0.5, 2))
+
     def test_random_indices_come_back_sorted(self, bruce):
         r = kq.select(bruce, kq.SelectionConfig(0.5, 9, "random", seed=3))
         assert list(r.selected) == sorted(r.selected)
@@ -443,6 +448,9 @@ class TestChannelBudget:
             kq.ChannelBudget(1.0, 1.0, 1.0, 1.0, 1.0, 0)
         with pytest.raises(ValueError):
             kq.ChannelBudget(float("inf"), 1.0, 1.0, 1.0, 1.0, 400)
+        for time, bandwidth in ((-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="time and bandwidth must be non-negative"):
+                kq.ChannelBudget(time, bandwidth, 1.0, 1.0, 1.0, 400)
 
     @pytest.mark.parametrize("bits", [True, 1.5, 2.0, "400"],
                              ids=["bool", "fraction", "integral-float", "str"])
