@@ -268,8 +268,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.k_from > args.k_to:
-        raise UsageError("--k-from must not exceed --k-to")
     if args.dump_runs is not None and (
         os.path.realpath(args.output) == os.path.realpath(args.dump_runs)
     ):

@@ -22,7 +22,7 @@ class SelfLoopError(KgsqueezeError):
 class BadDistributionError(KgsqueezeError):
     """A confidence distribution is unusable: a value outside [0, 1], an
     unknown relation label, a total mass outside the accepted band, or
-    an invalid relation set."""
+    an invalid relation set.  A wrong type is a SchemaViolationError."""
 
 
 class EmptyGraphError(KgsqueezeError):
@@ -35,8 +35,9 @@ class MalformedDocumentError(KgsqueezeError):
 
 
 class SchemaViolationError(KgsqueezeError):
-    """A syntactically valid document does not match the expected schema,
-    or ``build_graph`` got a field of a type no document could carry."""
+    """A document has the wrong shape or a selection header makes no
+    SelectionConfig, or ``build_graph`` got a value of a type no document
+    could carry, with the same message for a document's value."""
 
 
 class SelectionMismatchError(KgsqueezeError):

@@ -159,18 +159,21 @@ def _build_distribution(
     Returns the distribution and an optional warning when the raw sum
     drifted from 1 by more than SUM_WARN_TOLERANCE.
     """
+    # type() first: nearly every map is a dict, nearly every value a float.
+    if type(confidences) is not dict and not isinstance(confidences, Mapping):
+        got = type(confidences).__name__
+        raise SchemaViolationError(f"{where}: confidences must be a mapping, got {got}")
     unknown = set(confidences) - set(relation_set)
     if unknown:
         raise BadDistributionError(
             f"{where}: confidence for unknown relation label(s) "
-            f"{sorted(unknown)!r}"
+            f"{sorted(unknown, key=str)!r}"
         )
     for label, value in confidences.items():
-        # type() first: nearly every confidence is a plain float.
         if type(value) is not float and (
             isinstance(value, bool) or not isinstance(value, (int, float))
         ):
-            raise BadDistributionError(
+            raise SchemaViolationError(
                 f"{where}: confidence for {label!r} must be a number"
             )
     try:
@@ -221,12 +224,12 @@ def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
         raise BadDistributionError("relation set needs at least 2 labels")
     seen = set()
     for i, label in enumerate(labels):
-        if not isinstance(label, str) or not label or label != label.strip():
+        _require_str(label, f"relation_set[{i}]")
+        if not label or label != label.strip():
             raise BadDistributionError(
                 f"bad relation label {label!r}: must be non-empty, no "
                 "leading/trailing whitespace"
             )
-        _require_str(label, f"relation_set[{i}]")
         if label in seen:
             raise BadDistributionError(f"duplicate relation label {label!r}")
         seen.add(label)
@@ -271,10 +274,12 @@ def build_graph(
     top relation and top probability are computed here.  Candidate order
     is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
     renormalized (recorded in ``graph.warnings``); anything else raises.
-    A text, entity id or surface that is not a ``str``, or a
-    ``first_token_index`` that is not an ``int``, raises
-    ``SchemaViolationError`` naming the field; a lone surrogate in any of
-    those strings or in a relation label raises ``MalformedDocumentError``.
+    A value of the wrong type (a text, label, id, surface, head or tail
+    not a ``str``, a ``first_token_index`` not an ``int``, a confidence
+    map not a mapping, a confidence not an ``int`` or ``float``; a
+    ``bool`` is neither) raises ``SchemaViolationError`` naming the field,
+    and a lone surrogate in a text, label, id or surface
+    ``MalformedDocumentError``; graph documents get these same checks.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -287,10 +292,13 @@ def build_graph(
     warnings: list[str] = []
     for i, (head, tail, confidences) in enumerate(raw_candidates):
         where = f"candidate {i}"
-        if head not in ids:
-            raise UnknownEntityError(f"{where}: unknown head entity {head!r}")
-        if tail not in ids:
-            raise UnknownEntityError(f"{where}: unknown tail entity {tail!r}")
+        for role, end in (("head", head), ("tail", tail)):
+            if not isinstance(end, str):
+                raise SchemaViolationError(
+                    f"{where}: {role} must be a str, got {type(end).__name__}"
+                )
+            if end not in ids:
+                raise UnknownEntityError(f"{where}: unknown {role} entity {end!r}")
         if head == tail:
             raise SelfLoopError(f"{where}: head equals tail ({head!r})")
         dist, warning = _build_distribution(labels, confidences, where)

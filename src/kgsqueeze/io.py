@@ -25,7 +25,7 @@ from .errors import (
     SelectionMismatchError,
 )
 from .graph import Entity, ProbabilityGraph, build_graph
-from .selection import STRATEGIES, SelectionConfig, SelectionResult, select
+from .selection import SelectionConfig, SelectionResult, select
 
 SCHEMA_VERSION = 1
 
@@ -121,10 +121,14 @@ def _json_bytes(document: object) -> bytes:
     return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _require(obj: dict, key: str, kind: type, where: str) -> object:
+def _field(obj: dict, key: str, where: str) -> object:
     if key not in obj:
         raise SchemaViolationError(f"{where}: missing field {key!r}")
-    value = obj[key]
+    return obj[key]
+
+
+def _require(obj: dict, key: str, kind: type, where: str) -> object:
+    value = _field(obj, key, where)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaViolationError(
             f"{where}: field {key!r} must be {kind.__name__}, "
@@ -134,9 +138,7 @@ def _require(obj: dict, key: str, kind: type, where: str) -> object:
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise SchemaViolationError(f"{where}: missing field {key!r}")
-    value = obj[key]
+    value = _field(obj, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolationError(f"{where}: field {key!r} must be a number")
     try:
@@ -148,50 +150,32 @@ def _require_number(obj: dict, key: str, where: str) -> float:
     return value
 
 
+def _objects(doc: dict, key: str, where: str):
+    """Each ``(f"{key}[i]", entry)`` of a list field of objects."""
+    for i, item in enumerate(_require(doc, key, list, where)):
+        if not isinstance(item, dict):
+            raise SchemaViolationError(f"{key}[{i}] must be an object")
+        yield f"{key}[{i}]", item
+
+
 def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
     """Parse and validate a graph document into a ProbabilityGraph.
 
-    Raises MalformedDocumentError on broken syntax, SchemaViolationError
-    on structural problems, and the graph construction errors (with the
-    offending candidate index in the message) on semantic ones.
+    Checks only the shape (MalformedDocumentError, SchemaViolationError);
+    every rule on a value is ``build_graph``'s, with its class and message.
     """
     doc = _document(data, "document")
-    text = _require(doc, "text", str, "document")
-
+    text = _field(doc, "text", "document")
     relation_set = _require(doc, "relation_set", list, "document")
-    for i, label in enumerate(relation_set):
-        if not isinstance(label, str):
-            raise SchemaViolationError(f"relation_set[{i}] must be a string")
-
-    raw_entities = _require(doc, "entities", list, "document")
-    entities = []
-    for i, item in enumerate(raw_entities):
-        where = f"entities[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolationError(f"{where} must be an object")
-        entity_id = _require(item, "id", str, where)
-        surface = _require(item, "surface", str, where)
-        token_index = None
-        if item.get("first_token_index") is not None:
-            token_index = _require(item, "first_token_index", int, where)
-        entities.append(Entity(entity_id, surface, token_index))
-
-    raw_candidates = _require(doc, "candidates", list, "document")
-    candidates = []
-    for i, item in enumerate(raw_candidates):
-        where = f"candidates[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolationError(f"{where} must be an object")
-        head = _require(item, "head", str, where)
-        tail = _require(item, "tail", str, where)
-        confidences = _require(item, "confidences", dict, where)
-        for label, value in confidences.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaViolationError(
-                    f"{where}: confidence for {label!r} must be a number"
-                )
-        candidates.append((head, tail, confidences))
-
+    entities = [
+        Entity(_field(e, "id", at), _field(e, "surface", at),
+               e.get("first_token_index"))
+        for at, e in _objects(doc, "entities", "document")
+    ]
+    candidates = [
+        (_field(c, "head", at), _field(c, "tail", at), _field(c, "confidences", at))
+        for at, c in _objects(doc, "candidates", "document")
+    ]
     return build_graph(text, relation_set, entities, candidates)
 
 
@@ -264,17 +248,12 @@ def parse_selection_document(
 ) -> SelectionResult:
     """Parse a selection document; optionally validate it against a graph.
 
-    With a graph, the header is replayed through ``select`` and every
+    The header must make a SelectionConfig, else SchemaViolationError.
+    With a graph, that config is replayed through ``select`` and every
     field the document has must match the replay (reals within 1e-9, the
     rest exactly, ``selected`` entry by entry), else SelectionMismatchError.
     """
     doc = _document(data, "selection")
-    strategy = _require(doc, "strategy", str, "selection")
-    if strategy not in STRATEGIES:
-        raise SchemaViolationError(f"unknown strategy {strategy!r}")
-    seed = None
-    if doc.get("seed") is not None:
-        seed = _require(doc, "seed", int, "selection")
     ratio = _require_number(doc, "K", "selection")
     if not 0.0 < ratio <= 1.0:
         raise SchemaViolationError(f"selection: K must be in (0, 1], got {ratio!r}")
@@ -283,17 +262,22 @@ def parse_selection_document(
     relaxation_steps = _require(doc, "relaxation_steps", int, "selection")
     if not 0 <= relaxation_steps <= effective_depth:
         raise SchemaViolationError("selection: relaxation_steps out of range")
+    try:
+        config = SelectionConfig(
+            ratio,
+            effective_depth - relaxation_steps,
+            _field(doc, "strategy", "selection"),
+            doc.get("seed"),
+        )
+    except ValueError as exc:
+        raise SchemaViolationError(f"selection: {exc}") from None
     fallback = doc.get("disconnected_fallback")
     if not isinstance(fallback, bool):
         raise SchemaViolationError("selection: disconnected_fallback must be a bool")
     uncertainty = _require_number(doc, "SU", "selection")
 
-    raw_selected = _require(doc, "selected", list, "selection")
     indices = []
-    for i, item in enumerate(raw_selected):
-        where = f"selected[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolationError(f"{where} must be an object")
+    for where, item in _objects(doc, "selected", "selection"):
         indices.append(_require(item, "index", int, where))
         for key in ("top_probability", "entropy"):
             if key in item:
@@ -311,16 +295,16 @@ def parse_selection_document(
         relaxation_steps=relaxation_steps,
         disconnected_fallback=fallback,
         ratio=ratio,
-        strategy=strategy,
-        seed=seed,
+        strategy=config.strategy,
+        seed=config.seed,
     )
     if graph is not None:
-        _validate_against_graph(doc, result, graph)
+        _validate_against_graph(doc, result, config, graph)
     return result
 
 
 def _validate_against_graph(
-    doc: dict, result: SelectionResult, graph: ProbabilityGraph
+    doc: dict, result: SelectionResult, config: SelectionConfig, graph: ProbabilityGraph
 ) -> None:
     total = len(graph.quadruples)
     for i in result.selected:
@@ -328,11 +312,6 @@ def _validate_against_graph(
             raise SelectionMismatchError(
                 f"selected index {i} out of range for a graph of {total} quadruples"
             )
-    max_depth = result.effective_depth - result.relaxation_steps
-    try:
-        config = SelectionConfig(result.ratio, max_depth, result.strategy, result.seed)
-    except ValueError as exc:
-        raise SchemaViolationError(f"selection: {exc}") from None
     expected = _selection_fields(select(graph, config), graph)
     # Parsing rejects a bool where a number belongs, so == cannot take True for 1.0.
     if doc != expected:

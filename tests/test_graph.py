@@ -140,10 +140,26 @@ class TestBuildGraph:
     def test_confidence_must_be_a_number(self, confidences):
         label = next(k for k, v in confidences.items() if type(v) is not float)
         with pytest.raises(
-            kq.BadDistributionError,
+            kq.SchemaViolationError,
             match=f"candidate 0: confidence for '{label}' must be a number",
         ):
             tiny_graph(confidences)
+
+    @pytest.mark.parametrize("confidences", [None, [0.5], 0.5, "r1"], ids=repr)
+    def test_confidences_must_be_a_mapping(self, confidences):
+        with pytest.raises(
+            kq.SchemaViolationError,
+            match=f"^candidate 0: confidences must be a mapping, "
+                  f"got {type(confidences).__name__}$",
+        ):
+            tiny_graph(confidences)
+
+    def test_unknown_labels_of_mixed_types_rejected(self):
+        with pytest.raises(
+            kq.BadDistributionError,
+            match=r"unknown relation label\(s\) \[1, 'x'\]$",
+        ):
+            tiny_graph({"r1": 0.5, 1: 0.25, "x": 0.25})
 
     def test_int_confidence_accepted(self):
         assert tiny_graph({"r1": 1, "r2": 0}).quadruples[0].top_probability == 1.0
@@ -222,11 +238,29 @@ class TestBuildGraph:
             kq.build_graph("a b", ("r1", "r2"), two_entities(), [])
 
     def test_relation_set_needs_two_distinct_labels(self):
-        for labels in (("r1",), ("r1", "r1"), ("r1", " pad "), ("r1", ""), ("r1", 2)):
+        for labels in (("r1",), ("r1", "r1"), ("r1", " pad "), ("r1", "")):
             with pytest.raises(kq.BadDistributionError):
                 kq.build_graph(
                     "a b", labels, two_entities(), [("a", "b", {"r1": 1.0})]
                 )
+        with pytest.raises(
+            kq.SchemaViolationError, match=r"^relation_set\[1\] must be a str, got int$"
+        ):
+            kq.build_graph(
+                "a b", ("r1", 2), two_entities(), [("a", "b", {"r1": 1.0})]
+            )
+
+    @pytest.mark.parametrize("role", ["head", "tail"])
+    @pytest.mark.parametrize("value", [["a"], 7, None], ids=repr)
+    def test_endpoint_must_be_a_str(self, role, value):
+        head, tail = (value, "b") if role == "head" else ("a", value)
+        with pytest.raises(
+            kq.SchemaViolationError,
+            match=f"^candidate 0: {role} must be a str, got {type(value).__name__}$",
+        ):
+            kq.build_graph(
+                "a b", ("r1", "r2"), two_entities(), [(head, tail, {"r1": 1.0})]
+            )
 
     def test_duplicate_entity_ids_rejected(self):
         entities = [kq.Entity("a", "a", 0), kq.Entity("a", "a2", 1)]

@@ -181,6 +181,35 @@ class TestGraphDocumentErrors:
         with pytest.raises(kq.MalformedDocumentError, match="lone surrogate"):
             kq.parse_selection_document(text, bruce)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["candidates"][1]["confidences"].update(r2="0.5"),
+            lambda d: d["candidates"][0]["confidences"].update(r1=True),
+            lambda d: d.update(relation_set=["r1", 2]),
+            lambda d: d.update(relation_set=["r1", None]),
+            lambda d: d["entities"][0].update(first_token_index=0.5),
+            lambda d: d["entities"][0].update(first_token_index=True),
+        ],
+        ids=["str_confidence", "bool_confidence", "int_label", "null_label",
+             "float_token_index", "bool_token_index"],
+    )
+    def test_document_and_build_graph_raise_alike(self, mutate):
+        doc = valid_doc()
+        mutate(doc)
+        with pytest.raises(kq.KgsqueezeError) as parsed:
+            kq.parse_graph_document(as_bytes(doc))
+        with pytest.raises(kq.KgsqueezeError) as built:
+            kq.build_graph(
+                doc["text"],
+                doc["relation_set"],
+                [kq.Entity(e["id"], e["surface"], e.get("first_token_index"))
+                 for e in doc["entities"]],
+                [(c["head"], c["tail"], c["confidences"]) for c in doc["candidates"]],
+            )
+        assert type(parsed.value) is type(built.value) is kq.SchemaViolationError
+        assert str(parsed.value) == str(built.value)
+
     def test_semantic_errors_carry_candidate_index(self):
         doc = valid_doc()
         doc["candidates"][1]["head"] = "ghost"
@@ -252,12 +281,14 @@ class TestSelectionDocuments:
         with pytest.raises(kq.SchemaViolationError, match="duplicate key 'index'"):
             kq.parse_selection_document(text)
 
-    def test_unknown_strategy_rejected(self, bruce):
+    @pytest.mark.parametrize("with_graph", [True, False],
+                             ids=["with graph", "without graph"])
+    def test_unknown_strategy_rejected(self, bruce, with_graph):
         result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["strategy"] = "greedy"
         with pytest.raises(kq.SchemaViolationError, match="strategy"):
-            kq.parse_selection_document(json.dumps(doc))
+            kq.parse_selection_document(json.dumps(doc), bruce if with_graph else None)
 
     @pytest.mark.parametrize("parse", [kq.parse_graph_document,
                                        kq.parse_selection_document],
@@ -393,12 +424,14 @@ class TestSelectionReplay:
         with pytest.raises(kq.MissingSeedError):
             kq.parse_selection_document(json.dumps(doc), bruce)
 
-    def test_negative_seed_is_schema_violation(self, bruce):
+    @pytest.mark.parametrize("with_graph", [True, False],
+                             ids=["with graph", "without graph"])
+    def test_negative_seed_is_schema_violation(self, bruce, with_graph):
         result = kq.select(bruce, kq.SelectionConfig(0.5, 2, "random", 3))
         doc = json.loads(kq.emit_selection(result, bruce))
         doc["seed"] = -3
         with pytest.raises(kq.SchemaViolationError, match="seed"):
-            kq.parse_selection_document(json.dumps(doc), bruce)
+            kq.parse_selection_document(json.dumps(doc), bruce if with_graph else None)
 
     def test_hand_picked_subset_labelled_proposed_rejected(self, bruce):
         picked = kq.select(bruce, kq.SelectionConfig(0.5, 2, "order_back"))
