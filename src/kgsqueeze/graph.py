@@ -21,7 +21,7 @@ computes an entry twice.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum, log2
@@ -145,42 +145,87 @@ def relation_entropy(dist: RelationDistribution) -> float:
     one-hot distribution scores exactly 0.0 and a uniform one scores
     log2(len(labels)).
     """
-    h = -fsum(p * log2(p) for p in dist.confidences if p > 0.0)
+    return _entropy(dist.confidences)
+
+
+def _entropy(probabilities) -> float:
+    # fsum is correctly rounded, so neither the order nor zeros move a bit.
+    h = -fsum([p * log2(p) for p in probabilities if p > 0.0])
     return h + 0.0  # fold -0.0 to 0.0
 
 
+#: The confidence types the one cheap pass of _build_distribution admits.
+_NUMBER_TYPES = frozenset((float, int))
+
+
 def _build_distribution(
-    relation_set: tuple[str, ...],
+    labels: tuple[str, ...],
+    index: dict[str, int],
     confidences: Mapping[str, float],
     where: str,
-) -> tuple[RelationDistribution, str | None]:
+) -> tuple[RelationDistribution, float, str | None]:
     """Validate, align to relation-set order, and normalize to sum 1.
 
-    Returns the distribution and an optional warning when the raw sum
-    drifted from 1 by more than SUM_WARN_TOLERANCE.
+    ``index`` maps each of ``labels`` to its position.  Returns the
+    distribution, its entropy and an optional warning when the raw sum
+    drifted from 1 by more than SUM_WARN_TOLERANCE.  Work scales with the
+    labels the map gives, not with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
         got = type(confidences).__name__
         raise SchemaViolationError(f"{where}: confidences must be a mapping, got {got}")
-    unknown = set(confidences) - set(relation_set)
+    values = confidences.values()
+    low, high = SUM_TOLERANCE_BAND
+    # One cheap pass that holds only if no rule can fail: a NaN slips past
+    # min and max but not past the sum.
+    if not (
+        index.keys() >= confidences.keys()
+        and _NUMBER_TYPES.issuperset(map(type, values))
+        and values
+        and 0.0 <= min(values)
+        and max(values) <= 1.0
+        and low <= (total := fsum(values)) <= high
+    ):
+        total = _checked_sum(labels, confidences, where)
+    warning = None
+    if abs(total - 1.0) > SUM_WARN_TOLERANCE:
+        warning = f"{where}: confidences sum to {total:.6g}, renormalized"
+    # Within 1e-12 of 1, don't renormalize (x / 1.0 is x), so re-ingesting
+    # serialized output reproduces confidences bit for bit.
+    divisor = total if abs(total - 1.0) > 1e-12 else 1.0
+    dense = [0.0] * len(labels)
+    given = []
+    for label, value in confidences.items():
+        p = dense[index[label]] = float(value) / divisor
+        given.append(p)
+    return RelationDistribution(labels, tuple(dense)), _entropy(given), warning
+
+
+def _checked_sum(
+    labels: tuple[str, ...], confidences: Mapping[str, float], where: str
+) -> float:
+    """Apply every confidence rule in its documented order, raising for
+    the first one broken; if none is, return the raw sum.
+
+    Only runs when the cheap pass fails, so it names the offender.
+    """
+    unknown = set(confidences) - set(labels)
     if unknown:
         raise BadDistributionError(
             f"{where}: confidence for unknown relation label(s) "
             f"{sorted(unknown, key=str)!r}"
         )
     for label, value in confidences.items():
-        if type(value) is not float and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaViolationError(
                 f"{where}: confidence for {label!r} must be a number"
             )
     try:
-        raw = [float(confidences.get(label, 0.0)) for label in relation_set]
+        raw = [float(confidences.get(label, 0.0)) for label in labels]
     except OverflowError:  # an integer beyond the float range
         raise BadDistributionError(f"{where}: a confidence outside [0, 1]") from None
-    for label, value in zip(relation_set, raw):
+    for label, value in zip(labels, raw):
         if not 0.0 <= value <= 1.0:
             raise BadDistributionError(
                 f"{where}: confidence {value!r} for {label!r} outside [0, 1]"
@@ -191,16 +236,7 @@ def _build_distribution(
         raise BadDistributionError(
             f"{where}: confidences sum to {total!r}, outside [{low}, {high}]"
         )
-    warning = None
-    if abs(total - 1.0) > SUM_WARN_TOLERANCE:
-        warning = f"{where}: confidences sum to {total:.6g}, renormalized"
-    if abs(total - 1.0) <= 1e-12:
-        # Already normalized; don't divide, so re-ingesting serialized
-        # output reproduces confidences bit for bit.
-        normalized = tuple(raw)
-    else:
-        normalized = tuple(value / total for value in raw)
-    return RelationDistribution(relation_set, normalized), warning
+    return total
 
 
 def _require_str(value: object, field: str) -> None:
@@ -218,8 +254,17 @@ def _require_str(value: object, field: str) -> None:
         ) from None
 
 
+def _items(value: object, field: str) -> tuple:
+    """A container's items; a string or a non-iterable is no container."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise SchemaViolationError(
+            f"{field} must be a sequence, got {type(value).__name__}"
+        )
+    return tuple(value)
+
+
 def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
-    labels = tuple(relation_set)
+    labels = _items(relation_set, "relation_set")
     if len(labels) < 2:
         raise BadDistributionError("relation set needs at least 2 labels")
     seen = set()
@@ -237,9 +282,13 @@ def _validated_relation_set(relation_set: Sequence[str]) -> tuple[str, ...]:
 
 
 def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
-    out = tuple(entities)
+    out = _items(entities, "entities")
     seen = set()
     for i, e in enumerate(out):
+        if not isinstance(e, Entity):
+            raise SchemaViolationError(
+                f"entities[{i}] must be an Entity, got {type(e).__name__}"
+            )
         _require_str(e.id, f"entities[{i}].id")
         _require_str(e.surface, f"entities[{i}].surface")
         index = e.first_token_index
@@ -262,6 +311,36 @@ def _validated_entities(entities: Sequence[Entity]) -> tuple[Entity, ...]:
     return out
 
 
+def _triple(candidate: object, i: int) -> tuple:
+    """A candidate as ``(head, tail, confidences)``: any sequence of
+    three items except a string."""
+    if (
+        isinstance(candidate, Sequence)
+        and not isinstance(candidate, (str, bytes))
+        and len(candidate) == 3
+    ):
+        return tuple(candidate)
+    got = type(candidate).__name__
+    if isinstance(candidate, Sized):
+        got = f"{got} of length {len(candidate)}"
+    raise SchemaViolationError(
+        f"candidates[{i}] must be a (head, tail, confidences) triple, got {got}"
+    )
+
+
+def _check_endpoints(head: object, tail: object, ids: set[str], where: str) -> None:
+    """Raise for the first broken endpoint rule, in the documented order."""
+    for role, end in (("head", head), ("tail", tail)):
+        if not isinstance(end, str):
+            raise SchemaViolationError(
+                f"{where}: {role} must be a str, got {type(end).__name__}"
+            )
+        if end not in ids:
+            raise UnknownEntityError(f"{where}: unknown {role} entity {end!r}")
+    if head == tail:
+        raise SelfLoopError(f"{where}: head equals tail ({head!r})")
+
+
 def build_graph(
     text: str,
     relation_set: Sequence[str],
@@ -274,7 +353,9 @@ def build_graph(
     top relation and top probability are computed here.  Candidate order
     is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
     renormalized (recorded in ``graph.warnings``); anything else raises.
-    A value of the wrong type (a text, label, id, surface, head or tail
+    A value of the wrong type (a relation set, entity list or candidate
+    list that is a string or no container, an entity not an ``Entity``,
+    a candidate not a triple, a text, label, id, surface, head or tail
     not a ``str``, a ``first_token_index`` not an ``int``, a confidence
     map not a mapping, a confidence not an ``int`` or ``float``; a
     ``bool`` is neither) raises ``SchemaViolationError`` naming the field,
@@ -284,24 +365,26 @@ def build_graph(
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
     ents = _validated_entities(entities)
+    candidates = _items(raw_candidates, "candidates")
     ids = {e.id for e in ents}
-    if not raw_candidates:
+    if not candidates:
         raise EmptyGraphError("no quadruple candidates")
 
+    index = {label: i for i, label in enumerate(labels)}
     quadruples = []
     warnings: list[str] = []
-    for i, (head, tail, confidences) in enumerate(raw_candidates):
+    for i, candidate in enumerate(candidates):
+        if type(candidate) is not tuple or len(candidate) != 3:
+            candidate = _triple(candidate, i)
+        head, tail, confidences = candidate
         where = f"candidate {i}"
-        for role, end in (("head", head), ("tail", tail)):
-            if not isinstance(end, str):
-                raise SchemaViolationError(
-                    f"{where}: {role} must be a str, got {type(end).__name__}"
-                )
-            if end not in ids:
-                raise UnknownEntityError(f"{where}: unknown {role} entity {end!r}")
-        if head == tail:
-            raise SelfLoopError(f"{where}: head equals tail ({head!r})")
-        dist, warning = _build_distribution(labels, confidences, where)
+        # One cheap pass; the walk only runs to name what broke.
+        if not (
+            type(head) is str and type(tail) is str
+            and head in ids and tail in ids and head != tail
+        ):
+            _check_endpoints(head, tail, ids, where)
+        dist, entropy, warning = _build_distribution(labels, index, confidences, where)
         if warning:
             warnings.append(warning)
         top_relation, top_probability = dist.top()
@@ -312,7 +395,7 @@ def build_graph(
                 distribution=dist,
                 top_relation=top_relation,
                 top_probability=top_probability,
-                entropy=relation_entropy(dist),
+                entropy=entropy,
             )
         )
 

@@ -117,8 +117,73 @@ def _document(data: bytes | str, where: str) -> dict:
 
 
 def _json_bytes(document: object) -> bytes:
-    """The one JSON layout of every document: two-space indent, UTF-8."""
-    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """The one JSON layout of every document: two-space indent, UTF-8.
+
+    The bytes are exactly ``json.dumps(document, indent=2,
+    ensure_ascii=False) + "\n"``, laid out by ``_layout``.
+    """
+    if isinstance(document, _CONTAINERS):
+        text = _layout([document], "")[0]
+    else:
+        text = json.dumps(document, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _layout(values: list, pad: str) -> list[str]:
+    """Each of the containers ``values`` as ``json.dumps(indent=2)`` lays
+    it out at indent ``pad``.
+
+    Python's ``json`` runs its C encoder only without an indent.  So all
+    of ``values`` go to it in one call, each made shallow (a container
+    item becomes null), with the item separator ",\n" + the items'
+    indent.  The containers they hold are laid out the same way, one call
+    per nesting level, and put in place of their nulls.  The encoder
+    escapes control characters inside strings, so a newline appears only
+    in a separator; and as a shallow container holds only scalars, a
+    separator followed by an opening bracket can only part two of
+    ``values``.
+    """
+    if not values:
+        return []
+    inner = pad + "  "
+    separator = ",\n" + inner
+    shallow = []
+    held = []  # the container items of values, in order
+    found = []  # for each value, the indices of its container items
+    for value in values:
+        items = value.values() if isinstance(value, dict) else value
+        indices = []
+        if not _SCALARS.issuperset(map(type, items)):
+            kept = []
+            for i, item in enumerate(items):
+                if isinstance(item, _CONTAINERS):
+                    indices.append(i)
+                    held.append(item)
+                    item = None
+                kept.append(item)
+            value = dict(zip(value, kept)) if isinstance(value, dict) else kept
+        shallow.append(value)
+        found.append(indices)
+    encoder = json.JSONEncoder(ensure_ascii=False, separators=(separator, ": "))
+    texts = re.split(re.escape(separator) + r"(?=[\[{])", encoder.encode(shallow)[1:-1])
+    laid_out = iter(_layout(held, inner))
+    out = []
+    for text, indices in zip(texts, found):
+        if len(text) == 2:  # an empty container
+            out.append(text)
+            continue
+        body = text[1:-1]
+        if indices:
+            items = body.split(separator)
+            for i in indices:
+                items[i] = items[i][:-4] + next(laid_out)  # the item ends in null
+            body = separator.join(items)
+        out.append(f"{text[0]}\n{inner}{body}\n{pad}{text[-1]}")
+    return out
 
 
 def _field(obj: dict, key: str, where: str) -> object:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -161,6 +162,52 @@ class TestBuildGraph:
         ):
             tiny_graph({"r1": 0.5, 1: 0.25, "x": 0.25})
 
+    def test_unknown_label_beats_a_non_number(self):
+        with pytest.raises(
+            kq.BadDistributionError, match=r"unknown relation label\(s\) \['nope'\]$"
+        ):
+            tiny_graph({"r1": "0.5", "nope": 0.5})
+
+    def test_first_out_of_range_value_in_relation_set_order_is_named(self):
+        with pytest.raises(
+            kq.BadDistributionError,
+            match=r"^candidate 0: confidence -0\.5 for 'r1' outside \[0, 1\]$",
+        ):
+            tiny_graph({"r3": 1.5, "r1": -0.5})
+
+    @pytest.mark.parametrize(
+        "given, plain",
+        [
+            ({"r1": 1, "r2": 0}, {"r1": 1.0, "r2": 0.0}),
+            ({"r3": 0.05, "r1": 1}, {"r1": 1.0, "r3": 0.05}),
+            (MappingProxyType({"r2": 0.25, "r1": 0.75}), {"r1": 0.75, "r2": 0.25}),
+            (MappingProxyType({"r1": 0.5, "r2": 0.45}), {"r1": 0.5, "r2": 0.45}),
+        ],
+        ids=["int", "int_renormalized", "mapping_proxy", "mapping_proxy_renormalized"],
+    )
+    def test_int_and_mapping_give_the_same_distribution(self, given, plain):
+        got, want = tiny_graph(given), tiny_graph(plain)
+        assert got.quadruples == want.quadruples
+        assert got.warnings == want.warnings
+
+    def test_sum_within_1e_12_keeps_its_bits(self):
+        values = {"r1": 0.5, "r2": 0.5 + 2**-44}
+        assert 0 < math.fsum(values.values()) - 1.0 <= 1e-12
+        g = tiny_graph(values)
+        assert g.quadruples[0].distribution.confidences == (0.5, 0.5 + 2**-44, 0.0)
+        assert g.warnings == ()
+
+    @pytest.mark.parametrize(
+        "second, warnings",
+        [(0.5 + 1e-9, ()), (0.45, ("candidate 0: confidences sum to 0.95, renormalized",))],
+        ids=["silent", "warned"],
+    )
+    def test_sum_further_off_is_renormalized(self, second, warnings):
+        g = tiny_graph({"r1": 0.5, "r2": second})
+        total = math.fsum((0.5, second))
+        assert g.quadruples[0].distribution.confidences == (0.5 / total, second / total, 0.0)
+        assert g.warnings == warnings
+
     def test_int_confidence_accepted(self):
         assert tiny_graph({"r1": 1, "r2": 0}).quadruples[0].top_probability == 1.0
 
@@ -202,6 +249,45 @@ class TestBuildGraph:
                 text, ("r1", "r2"), [entity, kq.Entity("b", "b")],
                 [(entity.id, "b", {"r1": 1.0})],
             )
+
+    @pytest.mark.parametrize(
+        "part, value, message",
+        [
+            ("relation_set", "r1r2", "relation_set must be a sequence, got str"),
+            ("relation_set", None, "relation_set must be a sequence, got NoneType"),
+            ("entities", None, "entities must be a sequence, got NoneType"),
+            ("entities", "ab", "entities must be a sequence, got str"),
+            ("entities", [{"id": "a", "surface": "a"}, kq.Entity("b", "b")],
+             r"entities\[0\] must be an Entity, got dict"),
+            ("candidates", None, "candidates must be a sequence, got NoneType"),
+            ("candidates", [("a", "b")],
+             r"candidates\[0\] must be a \(head, tail, confidences\) triple, "
+             r"got tuple of length 2"),
+            ("candidates", ["abc"],
+             r"candidates\[0\] must be a \(head, tail, confidences\) triple, "
+             r"got str of length 3"),
+        ],
+        ids=["str_relation_set", "none_relation_set", "none_entities", "str_entities",
+             "dict_entity", "none_candidates", "two_tuple_candidate", "str_candidate"],
+    )
+    def test_container_of_the_wrong_kind_rejected(self, part, value, message):
+        args = {
+            "relation_set": ("r1", "r2"),
+            "entities": two_entities(),
+            "candidates": [("a", "b", {"r1": 1.0})],
+        }
+        args[part] = value
+        with pytest.raises(kq.SchemaViolationError, match=f"^{message}$"):
+            kq.build_graph(
+                "a b", args["relation_set"], args["entities"], args["candidates"]
+            )
+
+    def test_list_candidate_and_generator_containers_accepted(self):
+        g = kq.build_graph(
+            "a b", (label for label in ("r1", "r2")), iter(two_entities()),
+            [["a", "b", {"r1": 1.0}]],
+        )
+        assert g == tiny_graph({"r1": 1.0}, labels=("r1", "r2"))
 
     def test_astral_character_builds_and_serializes(self):
         g = kq.build_graph(

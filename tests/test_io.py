@@ -3,12 +3,15 @@
 import json
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgsqueeze as kq
-from kgsqueeze.io import emit_run_records
+from kgsqueeze.io import _json_bytes, emit_run_records
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, random_confidences
 
 
 def fixture_bytes(name):
@@ -475,6 +478,76 @@ class TestSelectionReplay:
         message = f"'{field}' must be a number"
         with pytest.raises(kq.SchemaViolationError, match=message):
             kq.parse_selection_document(json.dumps(doc), graph)
+
+
+def stdlib_layout(value) -> bytes:
+    return (json.dumps(value, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+# Strings that could pass for layout: a newline, a quote, a backslash,
+# non-ASCII, and an element boundary of a list of objects.
+_TRICKY = st.sampled_from(
+    ["\n", '"', "\\", "é", "漢字 \U0001f600", "},\n  {", "],\n    [", "null", "\t\x00", ""]
+)
+_STRINGS = st.one_of(st.text(max_size=8), st.lists(_TRICKY, max_size=3).map("".join))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 0.1]),
+    st.floats(),
+    _STRINGS,
+)
+_FLAT_OBJECTS = st.dictionaries(_STRINGS, _SCALARS, max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        st.lists(st.one_of(_FLAT_OBJECTS, _SCALARS), max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonLayout:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON)
+    def test_matches_the_stdlib_indent_encoder(self, value):
+        assert _json_bytes(value) == stdlib_layout(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            [{}, [], {"a": {}}, [[]]],
+            [{"a": 1}, {"b": "},\n    {"}, {}, 2, [{"c": [1, {"d": None}]}]],
+            {"x": [1, [2, [3, []]]], "y": {"z": {"w": -0.0}}},
+            (1, ("a", {"k": (True,)})),
+        ],
+        ids=["empty_object", "empty_list", "empties", "mixed_list", "deep", "tuples"],
+    )
+    def test_edge_shapes_match_the_stdlib(self, value):
+        assert _json_bytes(value) == stdlib_layout(value)
+
+    def test_large_graph_and_selection_match_the_stdlib(self):
+        rng = np.random.default_rng(14)
+        labels = tuple(f"relation {i:02d}" for i in range(12)) + ('said "é"',)
+        entities = [kq.Entity(f"e{i}", f"Entité {i}", i) for i in range(150)]
+        candidates = []
+        for _ in range(1200):
+            head, tail = rng.choice(len(entities), size=2, replace=False)
+            candidates.append((f"e{head}", f"e{tail}", random_confidences(rng, labels)))
+        graph = kq.build_graph(
+            " ".join(e.surface for e in entities), labels, entities, candidates
+        )
+        result = kq.select(graph, kq.SelectionConfig(0.9, 3))
+        assert len(result.selected) >= 1000
+        for data in (kq.serialize_graph(graph), kq.emit_selection(result, graph)):
+            assert data == stdlib_layout(json.loads(data))
+        assert kq.parse_graph_document(kq.serialize_graph(graph)) == graph
 
 
 class TestSweepTable:
