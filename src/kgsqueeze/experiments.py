@@ -19,7 +19,7 @@ from ._rng import derive_seed
 from .graph import ProbabilityGraph
 from .io import RunRecord, SweepRow
 from .metrics import similarity, verbalize
-from .selection import STRATEGIES, SelectionConfig, select
+from .selection import STRATEGIES, SelectionConfig, _is_int, select
 
 #: Slack when deciding how many grid points a (from, to, step) span holds.
 _GRID_EPS = 1e-9
@@ -61,10 +61,19 @@ def run_sweep(
     """All strategies across the ratio grid; see the module docstring.
 
     Returns rows sorted by (strategy, K) and the individual
-    random-baseline run records sorted by (K, run index).
+    random-baseline run records sorted by (K, run index).  ``runs`` must
+    be an int of at least 1 and ``seed`` one of at least 0 (a bool is
+    neither); anything else raises ValueError naming the parameter
+    before any evaluation.
     """
+    if not _is_int(runs):
+        raise ValueError(f"runs must be an int, got {runs!r}")
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rows = []
     records = []
     for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):

@@ -154,10 +154,6 @@ def _entropy(probabilities) -> float:
     return h + 0.0  # fold -0.0 to 0.0
 
 
-#: The confidence types the one cheap pass of _build_distribution admits.
-_NUMBER_TYPES = frozenset((float, int))
-
-
 def _build_distribution(
     labels: tuple[str, ...],
     index: dict[str, int],
@@ -166,28 +162,49 @@ def _build_distribution(
 ) -> tuple[RelationDistribution, float, str | None]:
     """Validate, align to relation-set order, and normalize to sum 1.
 
-    ``index`` maps each of ``labels`` to its position.  Returns the
-    distribution, its entropy and an optional warning when the raw sum
-    drifted from 1 by more than SUM_WARN_TOLERANCE.  Work scales with the
-    labels the map gives, not with the relation set.
+    ``index`` maps each of ``labels`` to its position.  The rules run in
+    this order, and the first broken one raises: every unknown label at
+    once, then each confidence in map order (its type, then its range),
+    then the sum.  Returns the distribution, its entropy and an optional
+    warning when the raw sum drifted from 1 by more than
+    SUM_WARN_TOLERANCE.  Work scales with the labels the map gives, not
+    with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
         got = type(confidences).__name__
         raise SchemaViolationError(f"{where}: confidences must be a mapping, got {got}")
-    values = confidences.values()
+    if not index.keys() >= confidences.keys():
+        unknown = confidences.keys() - index.keys()
+        raise BadDistributionError(
+            f"{where}: confidence for unknown relation label(s) "
+            f"{sorted(unknown, key=str)!r}"
+        )
+    raw = []
+    for label, value in confidences.items():
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise SchemaViolationError(
+                f"{where}: confidence for {label!r} must be a number"
+            )
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise BadDistributionError(
+                f"{where}: a confidence outside [0, 1]"
+            ) from None
+        if not 0.0 <= value <= 1.0:  # a NaN fails too
+            raise BadDistributionError(
+                f"{where}: confidence {value!r} for {label!r} outside [0, 1]"
+            )
+        raw.append(value)
+    total = fsum(raw)
     low, high = SUM_TOLERANCE_BAND
-    # One cheap pass that holds only if no rule can fail: a NaN slips past
-    # min and max but not past the sum.
-    if not (
-        index.keys() >= confidences.keys()
-        and _NUMBER_TYPES.issuperset(map(type, values))
-        and values
-        and 0.0 <= min(values)
-        and max(values) <= 1.0
-        and low <= (total := fsum(values)) <= high
-    ):
-        total = _checked_sum(labels, confidences, where)
+    if not low <= total <= high:
+        raise BadDistributionError(
+            f"{where}: confidences sum to {total!r}, outside [{low}, {high}]"
+        )
     warning = None
     if abs(total - 1.0) > SUM_WARN_TOLERANCE:
         warning = f"{where}: confidences sum to {total:.6g}, renormalized"
@@ -196,47 +213,10 @@ def _build_distribution(
     divisor = total if abs(total - 1.0) > 1e-12 else 1.0
     dense = [0.0] * len(labels)
     given = []
-    for label, value in confidences.items():
-        p = dense[index[label]] = float(value) / divisor
+    for label, value in zip(confidences, raw):
+        p = dense[index[label]] = value / divisor
         given.append(p)
     return RelationDistribution(labels, tuple(dense)), _entropy(given), warning
-
-
-def _checked_sum(
-    labels: tuple[str, ...], confidences: Mapping[str, float], where: str
-) -> float:
-    """Apply every confidence rule in its documented order, raising for
-    the first one broken; if none is, return the raw sum.
-
-    Only runs when the cheap pass fails, so it names the offender.
-    """
-    unknown = set(confidences) - set(labels)
-    if unknown:
-        raise BadDistributionError(
-            f"{where}: confidence for unknown relation label(s) "
-            f"{sorted(unknown, key=str)!r}"
-        )
-    for label, value in confidences.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolationError(
-                f"{where}: confidence for {label!r} must be a number"
-            )
-    try:
-        raw = [float(confidences.get(label, 0.0)) for label in labels]
-    except OverflowError:  # an integer beyond the float range
-        raise BadDistributionError(f"{where}: a confidence outside [0, 1]") from None
-    for label, value in zip(labels, raw):
-        if not 0.0 <= value <= 1.0:
-            raise BadDistributionError(
-                f"{where}: confidence {value!r} for {label!r} outside [0, 1]"
-            )
-    total = fsum(raw)
-    low, high = SUM_TOLERANCE_BAND
-    if not low <= total <= high:
-        raise BadDistributionError(
-            f"{where}: confidences sum to {total!r}, outside [{low}, {high}]"
-        )
-    return total
 
 
 def _require_str(value: object, field: str) -> None:
@@ -328,19 +308,6 @@ def _triple(candidate: object, i: int) -> tuple:
     )
 
 
-def _check_endpoints(head: object, tail: object, ids: set[str], where: str) -> None:
-    """Raise for the first broken endpoint rule, in the documented order."""
-    for role, end in (("head", head), ("tail", tail)):
-        if not isinstance(end, str):
-            raise SchemaViolationError(
-                f"{where}: {role} must be a str, got {type(end).__name__}"
-            )
-        if end not in ids:
-            raise UnknownEntityError(f"{where}: unknown {role} entity {end!r}")
-    if head == tail:
-        raise SelfLoopError(f"{where}: head equals tail ({head!r})")
-
-
 def build_graph(
     text: str,
     relation_set: Sequence[str],
@@ -361,6 +328,10 @@ def build_graph(
     ``bool`` is neither) raises ``SchemaViolationError`` naming the field,
     and a lone surrogate in a text, label, id or surface
     ``MalformedDocumentError``; graph documents get these same checks.
+    Each candidate's rules run in order, and the first broken one raises:
+    its head (type, then known), its tail (type, then known), head equal
+    to tail, then its confidences: unknown labels first, then each
+    confidence in map order (type, then range), then the sum.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -378,12 +349,20 @@ def build_graph(
             candidate = _triple(candidate, i)
         head, tail, confidences = candidate
         where = f"candidate {i}"
-        # One cheap pass; the walk only runs to name what broke.
-        if not (
-            type(head) is str and type(tail) is str
-            and head in ids and tail in ids and head != tail
-        ):
-            _check_endpoints(head, tail, ids, where)
+        if not isinstance(head, str):
+            raise SchemaViolationError(
+                f"{where}: head must be a str, got {type(head).__name__}"
+            )
+        if head not in ids:
+            raise UnknownEntityError(f"{where}: unknown head entity {head!r}")
+        if not isinstance(tail, str):
+            raise SchemaViolationError(
+                f"{where}: tail must be a str, got {type(tail).__name__}"
+            )
+        if tail not in ids:
+            raise UnknownEntityError(f"{where}: unknown tail entity {tail!r}")
+        if head == tail:
+            raise SelfLoopError(f"{where}: head equals tail ({head!r})")
         dist, entropy, warning = _build_distribution(labels, index, confidences, where)
         if warning:
             warnings.append(warning)

@@ -125,6 +125,30 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             kq.run_sweep(hangzhou, runs=0)
 
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"runs": 2.5}, "runs must be an int, got 2.5"),
+            ({"runs": True}, "runs must be an int, got True"),
+            ({"runs": 0}, "runs must be at least 1"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"seed": 1.0}, "seed must be an int, got 1.0"),
+            ({"seed": None}, "seed must be an int, got None"),
+        ],
+        ids=["float_runs", "bool_runs", "zero_runs", "negative_seed",
+             "float_seed", "none_seed"],
+    )
+    def test_runs_and_seed_checked_before_any_evaluation(
+        self, hangzhou, monkeypatch, given, message
+    ):
+        def evaluated(*args):
+            raise AssertionError("a selection ran before the check")
+
+        monkeypatch.setattr(experiments, "select", evaluated)
+        with pytest.raises(ValueError) as raised:
+            kq.run_sweep(hangzhou, **given)
+        assert str(raised.value) == message
+
     def test_phi_flows_through_to_scores(self, bruce):
         lopsided, records = kq.run_sweep(
             bruce, k_from=0.2, k_to=0.2, k_step=0.1, runs=2, seed=1, phi=1.0

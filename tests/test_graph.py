@@ -1,5 +1,6 @@
 """Graph construction and entropy scoring."""
 
+import json
 import math
 import pickle
 from types import MappingProxyType
@@ -35,6 +36,26 @@ def tiny_graph(confidences, labels=("r1", "r2", "r3")):
     return kq.build_graph(
         "a b", labels, two_entities(), [("a", "b", confidences)]
     )
+
+
+def error_on_both_paths(head, tail, confidences):
+    """The (class, message) that one bad candidate raises through
+    ``build_graph`` and through ``parse_graph_document``, which must agree."""
+    labels = ["r1", "r2", "r3"]
+    with pytest.raises(kq.KgsqueezeError) as built:
+        kq.build_graph("a b", labels, two_entities(), [(head, tail, confidences)])
+    document = {
+        "schema_version": 1,
+        "text": "a b",
+        "relation_set": labels,
+        "entities": [{"id": e.id, "surface": e.surface} for e in two_entities()],
+        "candidates": [{"head": head, "tail": tail, "confidences": confidences}],
+    }
+    with pytest.raises(kq.KgsqueezeError) as parsed:
+        kq.parse_graph_document(json.dumps(document).encode("utf-8"))
+    got = type(built.value), str(built.value)
+    assert (type(parsed.value), str(parsed.value)) == got
+    return got
 
 
 class TestRelationEntropy:
@@ -168,12 +189,45 @@ class TestBuildGraph:
         ):
             tiny_graph({"r1": "0.5", "nope": 0.5})
 
-    def test_first_out_of_range_value_in_relation_set_order_is_named(self):
-        with pytest.raises(
-            kq.BadDistributionError,
-            match=r"^candidate 0: confidence -0\.5 for 'r1' outside \[0, 1\]$",
-        ):
-            tiny_graph({"r3": 1.5, "r1": -0.5})
+    @pytest.mark.parametrize(
+        "confidences, error, message",
+        [
+            ({"r3": 1.5, "r1": -0.5}, kq.BadDistributionError,
+             "confidence 1.5 for 'r3' outside [0, 1]"),
+            ({"r2": 1.5, "r1": "0.5"}, kq.BadDistributionError,
+             "confidence 1.5 for 'r2' outside [0, 1]"),
+            ({"r2": "0.5", "r1": -0.5}, kq.SchemaViolationError,
+             "confidence for 'r2' must be a number"),
+            ({"r1": 10**400, "r2": None}, kq.BadDistributionError,
+             "a confidence outside [0, 1]"),
+        ],
+        ids=["two_out_of_range", "out_of_range_then_non_number",
+             "non_number_then_out_of_range", "overflow_then_non_number"],
+    )
+    def test_first_bad_confidence_in_map_order_is_named(
+        self, confidences, error, message
+    ):
+        assert error_on_both_paths("a", "b", confidences) == (
+            error, f"candidate 0: {message}"
+        )
+
+    @pytest.mark.parametrize(
+        "head, tail, error, message",
+        [
+            (7, "b", kq.SchemaViolationError, "head must be a str, got int"),
+            ("ghost", "b", kq.UnknownEntityError, "unknown head entity 'ghost'"),
+            ("a", None, kq.SchemaViolationError, "tail must be a str, got NoneType"),
+            ("a", "ghost", kq.UnknownEntityError, "unknown tail entity 'ghost'"),
+            ("a", "a", kq.SelfLoopError, "head equals tail ('a')"),
+            ("ghost", 7, kq.UnknownEntityError, "unknown head entity 'ghost'"),
+        ],
+        ids=["non_str_head", "unknown_head", "non_str_tail", "unknown_tail",
+             "self_loop", "unknown_head_beats_non_str_tail"],
+    )
+    def test_endpoint_rules(self, head, tail, error, message):
+        assert error_on_both_paths(head, tail, {"r1": 1.0}) == (
+            error, f"candidate 0: {message}"
+        )
 
     @pytest.mark.parametrize(
         "given, plain",
