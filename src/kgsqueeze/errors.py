@@ -45,7 +45,8 @@ class SelectionMismatchError(KgsqueezeError):
 
 
 class InvalidPhiError(KgsqueezeError):
-    """The accuracy/completeness weight phi is outside [0, 1]."""
+    """The accuracy/completeness weight phi is not an int or a float in
+    [0, 1] (a bool is neither)."""
 
 
 class MissingSeedError(KgsqueezeError):

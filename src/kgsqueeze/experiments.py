@@ -18,7 +18,7 @@ from math import floor, fsum
 from ._rng import derive_seed
 from .graph import ProbabilityGraph
 from .io import RunRecord, SweepRow
-from .metrics import similarity, verbalize
+from .metrics import _check_phi, similarity, verbalize
 from .selection import STRATEGIES, SelectionConfig, _is_int, select
 
 #: Slack when deciding how many grid points a (from, to, step) span holds.
@@ -64,7 +64,8 @@ def run_sweep(
     random-baseline run records sorted by (K, run index).  ``runs`` must
     be an int of at least 1 and ``seed`` one of at least 0 (a bool is
     neither); anything else raises ValueError naming the parameter
-    before any evaluation.
+    before any evaluation.  A ``phi`` that ``similarity`` would refuse
+    raises its InvalidPhiError at the same point.
     """
     if not _is_int(runs):
         raise ValueError(f"runs must be an int, got {runs!r}")
@@ -74,6 +75,7 @@ def run_sweep(
         raise ValueError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_phi(phi)
     rows = []
     records = []
     for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):

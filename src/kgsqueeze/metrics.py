@@ -15,20 +15,24 @@ model (e.g. a generative one) pass its output instead.
 
 What depends on the graph alone is computed once per graph object, on
 first use, and kept in its instance ``__dict__``: each quadruple's
-sentence, and per case mode the normalized original text plus each
-entity's normalized surface and its count there.  A scoring then only
-normalizes and counts in the recovered text.
+sentence, and per case mode the normalized original text, every
+entity's normalized surface, each selected surface's count in the
+original text and whether the surface is plain (see ``similarity``).
+A scoring then only counts in the recovered text, and not even there
+for a plain surface when the text is ``verbalize``'s own: its count is
+then how often its entity is a selected endpoint.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from math import fsum
 
 from .errors import InvalidPhiError
 from .graph import ProbabilityGraph
-from .selection import SelectionResult
+from .selection import SelectionResult, _is_int
 
 #: Default accuracy/completeness weight: both contribute equally.
 DEFAULT_PHI = 0.5
@@ -112,6 +116,71 @@ def _original_counts(
     return entry
 
 
+def _surface_facts(
+    graph: ProbabilityGraph, case_insensitive: bool
+) -> tuple[dict[str, str], str, str, frozenset[str], dict[str, bool]]:
+    """Per case mode, kept in the graph's instance ``__dict__``: every
+    entity's normalized surface by id, those surfaces joined by newlines,
+    the normalized relation labels framed by newlines and as a set, and
+    the plain flags, a map ``similarity`` fills one entity at a time.
+    """
+    modes = graph.__dict__.setdefault("_surface_facts", {})
+    facts = modes.get(case_insensitive)
+    if facts is None:
+        surfaces = {
+            e.id: _normalize(e.surface, case_insensitive) for e in graph.entities
+        }
+        labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
+        facts = modes.setdefault(case_insensitive, (
+            surfaces,
+            "\n".join(surfaces.values()),
+            "\n" + "\n".join(labels) + "\n",
+            frozenset(labels),
+            {},
+        ))
+    return facts
+
+
+def _is_plain(
+    surface: str, surfaces: str, labels: str, label_set: frozenset[str]
+) -> bool:
+    """Whether a normalized surface can occur in a normalized verbalization
+    only where its own entity is a head or a tail.
+
+    Each sentence normalizes to "<head> <label> <tail>." (or "... <tail> ."),
+    so an occurrence without a "." lies inside one surface or label, or
+    straddles the spaces between them.  ``surfaces`` and ``labels`` are
+    the graph's normalized surfaces joined by newlines and its normalized
+    labels framed by newlines; neither holds a newline otherwise.
+    """
+    if "." in surface or surfaces.count(surface) != 1 or surface in labels:
+        return False
+    words = surface.split(" ")
+    for k in range(1, len(words)):
+        # Straddling head|label, the part after the space starts a label;
+        # straddling label|tail, the part before it ends one.
+        before, after = " ".join(words[:k]), " ".join(words[k:])
+        if f"\n{after}" in labels or f"{before}\n" in labels:
+            return False
+    # Or a whole label lies between the end of a head and the start of a tail.
+    return not any(
+        " ".join(words[a:b]) in label_set
+        for a in range(1, len(words))
+        for b in range(a + 1, len(words))
+    )
+
+
+def _check_phi(phi: object) -> None:
+    """Refuse a phi that is not an int or a float (a bool is neither) in
+    [0, 1] with InvalidPhiError."""
+    if not (_is_int(phi) or isinstance(phi, float)):
+        raise InvalidPhiError(
+            f"phi must be a number (an int or a float), got {phi!r}"
+        )
+    if not 0.0 <= phi <= 1.0:
+        raise InvalidPhiError(f"phi must be in [0, 1], got {phi!r}")
+
+
 def similarity(
     graph: ProbabilityGraph,
     result: SelectionResult,
@@ -131,28 +200,52 @@ def similarity(
 
     The similarity score is theta * A * C / (phi * A + (1 - phi) * C),
     where theta is the summed top-relation probabilities of the
-    selection.  phi in [0, 1] steers the weighting: phi = 1 reduces the
-    score to theta * C, phi = 0 to theta * A.  The score is 0 whenever
-    the denominator is.
+    selection.  phi, an int or a float in [0, 1], steers the weighting:
+    phi = 1 reduces the score to theta * C, phi = 0 to theta * A.  The
+    score is 0 whenever the denominator is.  Any other phi raises
+    InvalidPhiError.
 
-    The original text and each entity's count in it are taken once per
-    graph object and case mode; ``entity_counts`` is a fresh dict on
-    every call.
+    When ``recovered_text`` equals ``verbalize(result, graph)``, a plain
+    surface is not searched for: it occurs there once per selected
+    quadruple with its entity as head or tail, so that incidence is its
+    count, the same number counting gives.  A normalized surface is plain
+    when it holds no ".", lies inside no other entity's surface (two
+    entities with one surface are not plain) and no relation label, and
+    cannot straddle the space between a head and a label or a label and
+    a tail.  The recovered text is normalized only when a selected
+    surface is not plain, or the text is not the verbalization.
+
+    The original text, each surface, each entity's count in the original
+    and whether its surface is plain are taken once per graph object and
+    case mode; ``entity_counts`` is a fresh dict on every call.
     """
-    if not 0.0 <= phi <= 1.0:
-        raise InvalidPhiError(f"phi must be in [0, 1], got {phi!r}")
-    original, surfaces = _original_counts(graph, case_insensitive)
-    recovered = _normalize(recovered_text, case_insensitive)
+    _check_phi(phi)
+    original, originals = _original_counts(graph, case_insensitive)
+    surfaces, joined, labels, label_set, plain = _surface_facts(
+        graph, case_insensitive
+    )
+    verbalized = recovered_text == verbalize(result, graph)
+    recovered = None
+    endpoints = Counter(
+        entity_id
+        for i in result.selected
+        for entity_id in (graph.quadruples[i].head, graph.quadruples[i].tail)
+    )
     counts = {}
-    for i in result.selected:
-        q = graph.quadruples[i]
-        for entity_id in (q.head, q.tail):
-            if entity_id not in counts:
-                if entity_id not in surfaces:
-                    surface = _normalize(graph.entity(entity_id).surface, case_insensitive)
-                    surfaces[entity_id] = (surface, original.count(surface))
-                surface, in_original = surfaces[entity_id]
-                counts[entity_id] = (in_original, recovered.count(surface))
+    for entity_id, incidence in endpoints.items():
+        surface = surfaces[entity_id]
+        if entity_id not in originals:
+            originals[entity_id] = (surface, original.count(surface))
+        in_original = originals[entity_id][1]
+        if verbalized:
+            if entity_id not in plain:
+                plain[entity_id] = _is_plain(surface, joined, labels, label_set)
+            if plain[entity_id]:
+                counts[entity_id] = (in_original, incidence)
+                continue
+        if recovered is None:
+            recovered = _normalize(recovered_text, case_insensitive)
+        counts[entity_id] = (in_original, recovered.count(surface))
     shared = sum(min(o, r) for o, r in counts.values())
     original_total = sum(o for o, _ in counts.values())
     recovered_total = sum(r for _, r in counts.values())

@@ -491,6 +491,28 @@ class TestMetrics:
         assert sensitive["A"] == 0.0
         assert insensitive["A"] > 0.0
 
+    @pytest.mark.parametrize("name", ["bruce", "hangzhou"])
+    @pytest.mark.parametrize("mode", [[], ["--case-insensitive"]], ids=["cs", "ci"])
+    def test_verbalization_scores_the_same_counted_or_scanned(
+        self, tmp_path, capsys, name, mode
+    ):
+        # The built-in verbalization counts plain surfaces by incidence; the
+        # same text plus a newline is not the verbalization, so it is scanned.
+        graph_path = FIXTURE_DIR / f"{name}.json"
+        sel = tmp_path / "sel.json"
+        assert main(["select", "--input", str(graph_path), "--k", "1.0",
+                     "--depth", "2", "--output", str(sel)]) == 0
+        graph = kq.parse_graph_document(graph_path.read_bytes())
+        result = kq.parse_selection_document(sel.read_bytes(), graph)
+        recovered = tmp_path / "rec.txt"
+        recovered.write_bytes((kq.verbalize(result, graph) + "\n").encode())
+        capsys.readouterr()
+        base = ["metrics", "--input", str(graph_path), "--selection", str(sel), *mode]
+        assert main(base) == 0
+        counted = capsys.readouterr().out
+        assert main([*base, "--recovered", str(recovered)]) == 0
+        assert capsys.readouterr().out == counted
+
     def test_non_finite_selection_figures_are_data_error(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         self.select_to(sel)

@@ -149,6 +149,28 @@ class TestRunSweep:
             kq.run_sweep(hangzhou, **given)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ("0.5", "phi must be a number (an int or a float), got '0.5'"),
+            (True, "phi must be a number (an int or a float), got True"),
+            (None, "phi must be a number (an int or a float), got None"),
+            (5.0, "phi must be in [0, 1], got 5.0"),
+            (float("nan"), "phi must be in [0, 1], got nan"),
+        ],
+        ids=["str_phi", "bool_phi", "none_phi", "large_phi", "nan_phi"],
+    )
+    def test_phi_checked_before_any_evaluation(
+        self, hangzhou, monkeypatch, phi, message
+    ):
+        def evaluated(*args):
+            raise AssertionError("a selection ran before the check")
+
+        monkeypatch.setattr(experiments, "select", evaluated)
+        with pytest.raises(kq.InvalidPhiError) as raised:
+            kq.run_sweep(hangzhou, phi=phi)
+        assert str(raised.value) == message
+
     def test_phi_flows_through_to_scores(self, bruce):
         lopsided, records = kq.run_sweep(
             bruce, k_from=0.2, k_to=0.2, k_step=0.1, runs=2, seed=1, phi=1.0

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -101,6 +102,81 @@ class TestOccurrenceTable:
             for e in entities
         }
         assert report.entity_counts == expected
+
+
+def scanned(text, surface, case_insensitive):
+    """Non-overlapping occurrences of a surface in a text, both
+    whitespace-normalized and casefolded if asked."""
+    text, surface = (" ".join(s.split()) for s in (text, surface))
+    if case_insensitive:
+        text, surface = text.casefold(), surface.casefold()
+    return text.count(surface)
+
+
+#: Surfaces and relation labels with dots, spaces, tabs and casefold
+#: expansions, so surfaces nest in each other and in labels, straddle the
+#: spaces around a label and fold together.
+VERBALIZED_SURFACE = st.text(alphabet="ab. \tßSİ", min_size=1, max_size=6).filter(
+    lambda surface: surface.split()
+)
+VERBALIZED_LABEL = st.text(alphabet="ab. ßSİ", min_size=1, max_size=5).filter(
+    lambda label: label == label.strip()
+)
+
+
+class TestVerbalizedCounts:
+    """Counts in ``verbalize``'s own text equal a scan of that text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surfaces=st.lists(VERBALIZED_SURFACE, min_size=2, max_size=5),
+        labels=st.lists(VERBALIZED_LABEL, min_size=2, max_size=3, unique=True),
+        edges=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(surfaces=["Chu Kochen", "1890.3.7", "St. Louis"],
+             labels=["born on", "visited"], edges=[(0, 0, 0), (0, 1, 1)])
+    @example(surfaces=["Lee", "Bruce Lee", "of"], labels=["teacher of", "son"],
+             edges=[(1, 0, 0), (0, 0, 1), (2, 0, 0)])
+    @example(surfaces=["Ip Man", "Bruce Lee", "Man teacher", "of Bruce"],
+             labels=["teacher of", "student"], edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["x", "y", "x ab", "bc y"], labels=["abc", "d"],
+             edges=[(0, 0, 0), (2, 2, 1), (3, 0, 1)])
+    @example(surfaces=["p", "q", "p r q"], labels=["r", "s"],
+             edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["Hangzhou", "Hangzhou", "Zhejiang"],
+             labels=["capital", "sight"], edges=[(0, 1, 0), (1, 0, 1)])
+    @example(surfaces=["Chu Kochen", "1890 \t"], labels=["born on", "x"],
+             edges=[(0, 0, 0)])
+    @example(surfaces=["Straße", "STRASSE", "İstanbul", "i\u0307stanbul"],
+             labels=["ß", "SS"], edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["aa", "b", "a a", "aaa"], labels=["a", "aa"],
+             edges=[(0, 0, 0), (2, 0, 1), (3, 0, 0)])
+    def test_counts_match_a_scan_of_the_verbalization(self, surfaces, labels, edges):
+        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+        n = len(surfaces)
+        candidates = []
+        for head, step, label in edges:  # the tail is never the head
+            head %= n
+            tail = (head + 1 + step % (n - 1)) % n
+            label = labels[label % len(labels)]
+            candidates.append((f"e{head}", f"e{tail}", {label: 1.0}))
+        graph = kq.build_graph("", labels, entities, candidates)
+        result = make_result(range(len(candidates)))
+        verbalized = kq.verbalize(result, graph)
+        for case_insensitive in (False, True):
+            report = kq.similarity(graph, result, verbalized, 0.5, case_insensitive)
+            assert report.entity_counts == {
+                e: (0, scanned(verbalized, graph.entity(e).surface, case_insensitive))
+                for c in candidates for e in c[:2]
+            }
+            # A text that normalizes the same but is not the verbalization
+            # takes the scanning path, with the same report.
+            assert report == kq.similarity(
+                graph, result, verbalized + "\n", 0.5, case_insensitive
+            )
 
 
 class TestVerbalize:
@@ -220,6 +296,18 @@ class TestSimilarity:
         for phi in (-0.1, 1.0000001, float("nan")):
             with pytest.raises(kq.InvalidPhiError):
                 kq.similarity(bruce, r, "text", phi=phi)
+
+    @pytest.mark.parametrize("phi", ["0.5", True, None, Fraction(1, 2)])
+    def test_phi_of_another_type_is_invalid(self, bruce, phi):
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
+        with pytest.raises(kq.InvalidPhiError, match="phi must be a number"):
+            kq.similarity(bruce, r, kq.verbalize(r, bruce), phi=phi)
+
+    def test_int_phi_is_accepted(self, bruce):
+        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
+        recovered = kq.verbalize(r, bruce)
+        assert (kq.similarity(bruce, r, recovered, phi=1).similarity
+                == kq.similarity(bruce, r, recovered, phi=1.0).similarity)
 
     def test_report_carries_the_occurrence_table(self, hangzhou):
         r = make_result([3])
@@ -347,6 +435,40 @@ class TestScoringCaches:
         assert calls[graph.text, False] == 1 and calls[graph.text, True] == 1
         kq.run_sweep(fresh_fixture("bruce"), runs=3, seed=1)
         assert calls[graph.text, False] == 2
+
+    def test_verbalization_is_normalized_only_for_a_surface_not_plain(
+        self, monkeypatch
+    ):
+        calls = Counter()
+        original = metrics._normalize
+
+        def counted(text, case_insensitive):
+            calls[text, case_insensitive] += 1
+            return original(text, case_insensitive)
+
+        monkeypatch.setattr(metrics, "_normalize", counted)
+        graph = fresh_fixture("bruce")  # every surface is plain
+        kq.run_sweep(graph, runs=3, seed=1)
+        per_graph = {graph.text, *graph.relation_set}
+        per_graph |= {e.surface for e in graph.entities}
+        assert {text for text, _ in calls} <= per_graph
+        result = kq.select(graph, kq.SelectionConfig(1.0, 2))
+        verbalized = kq.verbalize(result, graph)
+        kq.similarity(graph, result, verbalized, case_insensitive=True)
+        assert calls[verbalized, False] == calls[verbalized, True] == 0
+
+        graph = fresh_fixture("hangzhou")
+        result = make_result([3])
+        verbalized = kq.verbalize(result, graph)
+        assert verbalized == "Chu Kochen born on 1890.3.7."
+        for scorings in (1, 2):
+            report = kq.similarity(graph, result, verbalized)
+            assert calls[verbalized, False] == scorings
+        assert report.entity_counts == {"chu_kochen": (1, 1), "birth_date": (1, 1)}
+        assert graph.__dict__["_surface_facts"][False][4] == {
+            "chu_kochen": True,
+            "birth_date": False,
+        }
 
     def test_caches_fill_one_entry_at_a_time(self):
         graph = fresh_fixture("hangzhou")
