@@ -79,9 +79,9 @@ def all_distances(graph: ProbabilityGraph, source: str) -> DistanceTable:
     graph.entity(source)  # raises UnknownEntityError if absent
 
     adjacency: dict[str, set[str]] = {e.id: set() for e in graph.entities}
-    for q in graph.quadruples:
-        adjacency[q.head].add(q.tail)
-        adjacency[q.tail].add(q.head)
+    for head, tail in zip(graph.heads, graph.tails):
+        adjacency[head].add(tail)
+        adjacency[tail].add(head)
     distance: dict[str, int | float] = dict.fromkeys(adjacency, UNREACHABLE)
     distance[source] = 0
     queue = deque([source])

@@ -2,15 +2,23 @@
 
 A relation extractor scores every candidate entity pair against a fixed
 relation set, yielding a full confidence distribution per pair rather
-than a single relation.  Each pair is stored as a quadruple
-``(head, relation, tail, entropy)`` where the relation is the argmax of
-the distribution and the entropy (in bits) measures how ambiguous the
-extractor's verdict was.  A graph of such quadruples, together with the
-source text and the entity table, is the unit every other module
-operates on.
+than a single relation.  Each pair is a quadruple ``(head, relation,
+tail, entropy)`` where the relation is the argmax of the distribution
+and the entropy (in bits) measures how ambiguous the extractor's verdict
+was.  A graph of such quadruples, together with the source text and the
+entity table, is the unit every other module operates on.
 
-All types are frozen dataclasses: immutable after construction and safe
-to share across threads.  A graph object keeps private caches of facts
+A graph stores its candidates as columns, one tuple per fact, aligned by
+candidate index: heads, tails, each candidate's non-zero (label index,
+probability) pairs, top relations, top probabilities and entropies.  So
+its size follows its document, not candidates times the relation set.
+``graph.quadruples`` builds a ``Quadruple``, with its dense
+``RelationDistribution``, only when a caller reads one; the pipeline
+reads the columns.
+
+All types are frozen dataclasses, and the sequence ``graph.quadruples``
+returns only reads its graph: immutable after construction and safe to
+share across threads.  A graph object keeps private caches of facts
 derived from it (its entity index, selection facts, sentences and
 original-text counts) in its instance ``__dict__``, outside equality and
 hashing.  They are filled on first use; filling them is idempotent, since
@@ -24,7 +32,9 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import fsum, log2
+from operator import itemgetter
 
 from .errors import (
     BadDistributionError,
@@ -55,9 +65,6 @@ class RelationDistribution:
     labels: tuple[str, ...]
     confidences: tuple[float, ...]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.labels, self.confidences))
-
     def top(self) -> tuple[str, float]:
         """Most confident relation; ties go to the earliest label."""
         i = self.confidences.index(max(self.confidences))
@@ -84,8 +91,7 @@ class Quadruple:
 
     ``top_relation``/``top_probability`` are the argmax of the
     distribution and ``entropy`` its Shannon entropy in bits, all
-    precomputed at construction so downstream selection and metrics
-    never re-derive them.
+    read from the graph's columns, which ``build_graph`` computed.
     """
 
     head: str
@@ -98,10 +104,18 @@ class Quadruple:
 
 @dataclass(frozen=True)
 class ProbabilityGraph:
-    """An ordered collection of quadruples plus the text they came from.
+    """An ordered collection of quadruples, as columns, plus the text they
+    came from.
 
-    Quadruple order is exactly ingestion order; the positional baselines
-    and all tie-breaking rules depend on it.  ``warnings`` collects
+    Item ``i`` of each column is a fact of candidate ``i``: ``heads`` and
+    ``tails`` its entity ids, ``confidences`` its non-zero (label index,
+    probability) pairs in relation-set order, summing to 1,
+    ``top_relations`` and ``top_probabilities`` their argmax (ties go to
+    the earliest label) and ``entropies`` their Shannon entropy in bits.
+    Candidate order is exactly ingestion order; the positional baselines
+    and all tie-breaking rules depend on it.  The constructor checks
+    nothing: ``build_graph`` validates and computes the columns, and
+    without them a graph has no candidates.  ``warnings`` collects
     ingestion notes (e.g. renormalized confidence sums) and is excluded
     from equality so a serialize/parse round trip compares clean.
     """
@@ -109,8 +123,19 @@ class ProbabilityGraph:
     text: str
     relation_set: tuple[str, ...]
     entities: tuple[Entity, ...]
-    quadruples: tuple[Quadruple, ...]
+    heads: tuple[str, ...] = ()
+    tails: tuple[str, ...] = ()
+    confidences: tuple[tuple[tuple[int, float], ...], ...] = ()
+    top_relations: tuple[str, ...] = ()
+    top_probabilities: tuple[float, ...] = ()
+    entropies: tuple[float, ...] = ()
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    @property
+    def quadruples(self) -> Sequence[Quadruple]:
+        """The candidates as a sequence of ``Quadruple``; each is built,
+        with its dense distribution, when it is read."""
+        return _Quadruples(self)
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -126,7 +151,7 @@ class ProbabilityGraph:
     @cached_property
     def _endpoint_counts(self) -> Counter[str]:
         # Walked once per graph object; read-only, occurrence_counts copies it.
-        return Counter([x for q in self.quadruples for x in (q.head, q.tail)])
+        return Counter(chain.from_iterable(zip(self.heads, self.tails)))
 
     def occurrence_counts(self) -> Counter[str]:
         """How many quadruple endpoint slots each entity fills.
@@ -136,6 +161,33 @@ class ProbabilityGraph:
         returns a fresh Counter the caller may mutate.
         """
         return self._endpoint_counts.copy()
+
+
+class _Quadruples(Sequence):
+    """A graph's candidates as ``Quadruple`` objects, each built when read."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: ProbabilityGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.heads)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        g = self._graph
+        dense = [0.0] * len(g.relation_set)
+        for j, p in g.confidences[i]:
+            dense[j] = p
+        return Quadruple(
+            g.heads[i], g.tails[i], RelationDistribution(g.relation_set, tuple(dense)),
+            g.top_relations[i], g.top_probabilities[i], g.entropies[i],
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == other
 
 
 def relation_entropy(dist: RelationDistribution) -> float:
@@ -154,69 +206,69 @@ def _entropy(probabilities) -> float:
     return h + 0.0  # fold -0.0 to 0.0
 
 
-def _build_distribution(
-    labels: tuple[str, ...],
-    index: dict[str, int],
-    confidences: Mapping[str, float],
-    where: str,
-) -> tuple[RelationDistribution, float, str | None]:
-    """Validate, align to relation-set order, and normalize to sum 1.
+def _probabilities(
+    index: dict[str, int], confidences: Mapping[str, float], i: int
+) -> tuple[tuple[tuple[int, float], ...], str | None]:
+    """Validate candidate ``i``'s confidence map and normalize it to sum 1.
 
-    ``index`` maps each of ``labels`` to its position.  The rules run in
+    ``index`` maps each relation label to its position.  The rules run in
     this order, and the first broken one raises: every unknown label at
     once, then each confidence in map order (its type, then its range),
-    then the sum.  Returns the distribution, its entropy and an optional
-    warning when the raw sum drifted from 1 by more than
-    SUM_WARN_TOLERANCE.  Work scales with the labels the map gives, not
-    with the relation set.
+    then the sum.  Returns the non-zero (label index, probability) pairs
+    in relation-set order and an optional warning when the raw sum
+    drifted from 1 by more than SUM_WARN_TOLERANCE.  Work scales with the
+    labels the map gives, not with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
         got = type(confidences).__name__
-        raise SchemaViolationError(f"{where}: confidences must be a mapping, got {got}")
+        raise SchemaViolationError(
+            f"candidate {i}: confidences must be a mapping, got {got}"
+        )
     if not index.keys() >= confidences.keys():
         unknown = confidences.keys() - index.keys()
         raise BadDistributionError(
-            f"{where}: confidence for unknown relation label(s) "
+            f"candidate {i}: confidence for unknown relation label(s) "
             f"{sorted(unknown, key=str)!r}"
         )
     raw = []
     for label, value in confidences.items():
-        if type(value) is not float and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise SchemaViolationError(
-                f"{where}: confidence for {label!r} must be a number"
-            )
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            raise BadDistributionError(
-                f"{where}: a confidence outside [0, 1]"
-            ) from None
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaViolationError(
+                    f"candidate {i}: confidence for {label!r} must be a number"
+                )
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise BadDistributionError(
+                    f"candidate {i}: a confidence outside [0, 1]"
+                ) from None
         if not 0.0 <= value <= 1.0:  # a NaN fails too
             raise BadDistributionError(
-                f"{where}: confidence {value!r} for {label!r} outside [0, 1]"
+                f"candidate {i}: confidence {value!r} for {label!r} outside [0, 1]"
             )
         raw.append(value)
     total = fsum(raw)
     low, high = SUM_TOLERANCE_BAND
     if not low <= total <= high:
         raise BadDistributionError(
-            f"{where}: confidences sum to {total!r}, outside [{low}, {high}]"
+            f"candidate {i}: confidences sum to {total!r}, outside [{low}, {high}]"
         )
+    drift = abs(total - 1.0)
     warning = None
-    if abs(total - 1.0) > SUM_WARN_TOLERANCE:
-        warning = f"{where}: confidences sum to {total:.6g}, renormalized"
+    if drift > SUM_WARN_TOLERANCE:
+        warning = f"candidate {i}: confidences sum to {total:.6g}, renormalized"
     # Within 1e-12 of 1, don't renormalize (x / 1.0 is x), so re-ingesting
     # serialized output reproduces confidences bit for bit.
-    divisor = total if abs(total - 1.0) > 1e-12 else 1.0
-    dense = [0.0] * len(labels)
-    given = []
-    for label, value in zip(confidences, raw):
-        p = dense[index[label]] = value / divisor
-        given.append(p)
-    return RelationDistribution(labels, tuple(dense)), _entropy(given), warning
+    divisor = total if drift > 1e-12 else 1.0
+    pairs = [
+        (index[label], p)
+        for label, value in zip(confidences, raw)
+        if (p := value / divisor)  # explicit zeros are dropped
+    ]
+    pairs.sort()  # label indices are distinct, so probabilities are never compared
+    return tuple(pairs), warning
 
 
 def _require_str(value: object, field: str) -> None:
@@ -317,7 +369,8 @@ def build_graph(
     """Assemble a graph from raw extractor output.
 
     Each candidate is ``(head_id, tail_id, confidences)``; its entropy,
-    top relation and top probability are computed here.  Candidate order
+    top relation and top probability are computed here, and it is stored
+    in the graph's columns, with no ``Quadruple`` built.  Candidate order
     is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
     renormalized (recorded in ``graph.warnings``); anything else raises.
     A value of the wrong type (a relation set, entity list or candidate
@@ -342,46 +395,43 @@ def build_graph(
         raise EmptyGraphError("no quadruple candidates")
 
     index = {label: i for i, label in enumerate(labels)}
-    quadruples = []
-    warnings: list[str] = []
+    heads, tails, pairs, warnings = [], [], [], []
     for i, candidate in enumerate(candidates):
         if type(candidate) is not tuple or len(candidate) != 3:
             candidate = _triple(candidate, i)
         head, tail, confidences = candidate
-        where = f"candidate {i}"
         if not isinstance(head, str):
             raise SchemaViolationError(
-                f"{where}: head must be a str, got {type(head).__name__}"
+                f"candidate {i}: head must be a str, got {type(head).__name__}"
             )
         if head not in ids:
-            raise UnknownEntityError(f"{where}: unknown head entity {head!r}")
+            raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
         if not isinstance(tail, str):
             raise SchemaViolationError(
-                f"{where}: tail must be a str, got {type(tail).__name__}"
+                f"candidate {i}: tail must be a str, got {type(tail).__name__}"
             )
         if tail not in ids:
-            raise UnknownEntityError(f"{where}: unknown tail entity {tail!r}")
+            raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
         if head == tail:
-            raise SelfLoopError(f"{where}: head equals tail ({head!r})")
-        dist, entropy, warning = _build_distribution(labels, index, confidences, where)
+            raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
+        given, warning = _probabilities(index, confidences, i)
         if warning:
             warnings.append(warning)
-        top_relation, top_probability = dist.top()
-        quadruples.append(
-            Quadruple(
-                head=head,
-                tail=tail,
-                distribution=dist,
-                top_relation=top_relation,
-                top_probability=top_probability,
-                entropy=entropy,
-            )
-        )
+        heads.append(head)
+        tails.append(tail)
+        pairs.append(given)
 
+    # The first largest pair: ties go to the earliest label.
+    tops = [max(given, key=itemgetter(1)) for given in pairs]
     return ProbabilityGraph(
         text=text,
         relation_set=labels,
         entities=ents,
-        quadruples=tuple(quadruples),
+        heads=tuple(heads),
+        tails=tuple(tails),
+        confidences=tuple(pairs),
+        top_relations=tuple([labels[j] for j, _ in tops]),
+        top_probabilities=tuple([p for _, p in tops]),
+        entropies=tuple([_entropy([p for _, p in given]) for given in pairs]),
         warnings=tuple(warnings),
     )

@@ -237,15 +237,26 @@ def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
                e.get("first_token_index"))
         for at, e in _objects(doc, "entities", "document")
     ]
-    candidates = [
-        (_field(c, "head", at), _field(c, "tail", at), _field(c, "confidences", at))
-        for at, c in _objects(doc, "candidates", "document")
-    ]
+    candidates = []
+    for i, c in enumerate(_require(doc, "candidates", list, "document")):
+        try:
+            candidates.append((c["head"], c["tail"], c["confidences"]))
+        except (KeyError, TypeError):  # not an object, or a field missing
+            at = f"candidates[{i}]"
+            if not isinstance(c, dict):
+                raise SchemaViolationError(f"{at} must be an object") from None
+            missing = next(k for k in ("head", "tail", "confidences") if k not in c)
+            raise SchemaViolationError(f"{at}: missing field {missing!r}") from None
     return build_graph(text, relation_set, entities, candidates)
 
 
 def serialize_graph(graph: ProbabilityGraph) -> bytes:
-    """Graph back to document bytes; parse_graph_document inverts this."""
+    """Graph back to document bytes; parse_graph_document inverts this.
+
+    Each candidate's confidences are its stored non-zero pairs, in
+    relation-set order.
+    """
+    labels = graph.relation_set
     doc = {
         "schema_version": SCHEMA_VERSION,
         "text": graph.text,
@@ -262,15 +273,11 @@ def serialize_graph(graph: ProbabilityGraph) -> bytes:
         ],
         "candidates": [
             {
-                "head": q.head,
-                "tail": q.tail,
-                "confidences": {
-                    label: value
-                    for label, value in q.distribution.as_dict().items()
-                    if value != 0.0
-                },
+                "head": head,
+                "tail": tail,
+                "confidences": {labels[j]: p for j, p in pairs},
             }
-            for q in graph.quadruples
+            for head, tail, pairs in zip(graph.heads, graph.tails, graph.confidences)
         ],
     }
     return _json_bytes(doc)
@@ -278,7 +285,6 @@ def serialize_graph(graph: ProbabilityGraph) -> bytes:
 
 def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
     """The selection document as a dict: the one definition of its layout."""
-    picked = [(i, graph.quadruples[i]) for i in result.selected]
     return {
         "schema_version": SCHEMA_VERSION,
         "strategy": result.strategy,
@@ -292,13 +298,13 @@ def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
         "selected": [
             {
                 "index": i,
-                "head": graph.entity(q.head).surface,
-                "relation": q.top_relation,
-                "tail": graph.entity(q.tail).surface,
-                "top_probability": q.top_probability,
-                "entropy": q.entropy,
+                "head": graph.entity(graph.heads[i]).surface,
+                "relation": graph.top_relations[i],
+                "tail": graph.entity(graph.tails[i]).surface,
+                "top_probability": graph.top_probabilities[i],
+                "entropy": graph.entropies[i],
             }
-            for i, q in picked
+            for i in result.selected
         ],
     }
 
@@ -371,7 +377,7 @@ def parse_selection_document(
 def _validate_against_graph(
     doc: dict, result: SelectionResult, config: SelectionConfig, graph: ProbabilityGraph
 ) -> None:
-    total = len(graph.quadruples)
+    total = len(graph.heads)
     for i in result.selected:
         if not 0 <= i < total:
             raise SelectionMismatchError(

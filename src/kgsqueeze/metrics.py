@@ -92,11 +92,14 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     sentences = graph.__dict__.setdefault("_sentences", {})
     for i in result.selected:
         if i not in sentences:
-            q = graph.quadruples[i]
-            head = graph.entity(q.head).surface
-            tail = graph.entity(q.tail).surface
-            sentences[i] = f"{head} {q.top_relation} {tail}."
+            sentences[i] = _sentence(graph, i)
     return " ".join([sentences[i] for i in result.selected])
+
+
+def _sentence(graph: ProbabilityGraph, i: int) -> str:
+    head = graph.entity(graph.heads[i]).surface
+    tail = graph.entity(graph.tails[i]).surface
+    return f"{head} {graph.top_relations[i]} {tail}."
 
 
 def _original_counts(
@@ -224,12 +227,15 @@ def similarity(
     surfaces, joined, labels, label_set, plain = _surface_facts(
         graph, case_insensitive
     )
-    verbalized = recovered_text == verbalize(result, graph)
+    selected = result.selected
+    heads, tails = graph.heads, graph.tails
+    # Cheap necessary test first: the verbalization ends with the last sentence.
+    verbalized = (
+        not selected or recovered_text.endswith(_sentence(graph, selected[-1]))
+    ) and recovered_text == verbalize(result, graph)
     recovered = None
     endpoints = Counter(
-        entity_id
-        for i in result.selected
-        for entity_id in (graph.quadruples[i].head, graph.quadruples[i].tail)
+        entity_id for i in selected for entity_id in (heads[i], tails[i])
     )
     counts = {}
     for entity_id, incidence in endpoints.items():
@@ -251,8 +257,8 @@ def similarity(
     recovered_total = sum(r for _, r in counts.values())
     acc = shared / recovered_total if recovered_total else 0.0
     comp = shared / original_total if original_total else 0.0
-    uncertainty = fsum(graph.quadruples[i].entropy for i in result.selected)
-    theta = fsum(graph.quadruples[i].top_probability for i in result.selected)
+    uncertainty = fsum([graph.entropies[i] for i in selected])
+    theta = fsum([graph.top_probabilities[i] for i in selected])
     denominator = phi * acc + (1.0 - phi) * comp
     score = theta * acc * comp / denominator if denominator > 0.0 else 0.0
     return MetricsReport(

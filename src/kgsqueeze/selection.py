@@ -188,11 +188,11 @@ def eligible(
 
     Unreachable endpoints never qualify.  Order is input order.
     """
+    d = distances.distance
     return [
         i
-        for i, q in enumerate(graph.quadruples)
-        if distances.distance[q.head] <= depth
-        and distances.distance[q.tail] <= depth
+        for i, (head, tail) in enumerate(zip(graph.heads, graph.tails))
+        if d[head] <= depth and d[tail] <= depth
     ]
 
 
@@ -212,17 +212,16 @@ def _facts(graph: ProbabilityGraph) -> _GraphFacts:
     like its entity index, so outside equality and hashing."""
     facts = graph.__dict__.get("_selection_facts")
     if facts is None:
-        quads = graph.quadruples
+        ends = list(zip(graph.heads, graph.tails))
         distances = all_distances(graph, select_initial_node(graph))
         # The counts select_initial_node just walked, read without a copy.
         d, counts = distances.distance, graph._endpoint_counts
-        reach = tuple(max(d[q.head], d[q.tail]) for q in quads)
-        entropy = [q.entropy for q in quads]
+        reach = tuple([max(d[head], d[tail]) for head, tail in ends])
         facts = graph.__dict__["_selection_facts"] = _GraphFacts(
             reach, tuple(sorted(reach)), distances.max_finite(),
             # A stable sort of the indices: equal entropies keep input order.
-            tuple(sorted(range(len(quads)), key=entropy.__getitem__)),
-            tuple(counts[q.head] + counts[q.tail] for q in quads),
+            tuple(sorted(range(len(ends)), key=graph.entropies.__getitem__)),
+            tuple([counts[head] + counts[tail] for head, tail in ends]),
         )
     return facts
 
@@ -275,10 +274,10 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     graph: they are computed on its first selection and reused by every
     later one, the ``metrics`` replay and each sweep evaluation included.
     """
-    if not graph.quadruples:
+    if not graph.heads:
         raise EmptyGraphError("cannot select from an empty graph")
     facts = _facts(graph)
-    target = quota(config.ratio, len(graph.quadruples))
+    target = quota(config.ratio, len(graph.heads))
     needed = facts.sorted_reach[target - 1]
     depth = max(config.max_depth, facts.deepest if isinf(needed) else needed)
     pool = [i for i, r in enumerate(facts.reach) if r <= depth]
@@ -290,7 +289,7 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
         selected=tuple(selected),
         quota=target,
         effective_depth=depth,
-        semantic_uncertainty=fsum(graph.quadruples[i].entropy for i in selected),
+        semantic_uncertainty=fsum([graph.entropies[i] for i in selected]),
         relaxation_steps=depth - config.max_depth,
         disconnected_fallback=fallback,
         ratio=config.ratio,

@@ -513,6 +513,36 @@ class TestMetrics:
         assert main([*base, "--recovered", str(recovered)]) == 0
         assert capsys.readouterr().out == counted
 
+    @pytest.mark.parametrize("mode", [[], ["--case-insensitive"]], ids=["cs", "ci"])
+    def test_recovered_text_renders_the_verbalization_only_when_it_may_match(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # A text that does not end with the last selected sentence cannot be
+        # the verbalization, so similarity does not render it to compare.
+        sel = tmp_path / "sel.json"
+        self.select_to(sel)
+        graph = kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes())
+        verbalized = kq.verbalize(kq.parse_selection_document(sel.read_bytes()), graph)
+        texts = {"unrelated": "Bruce Lee learned Wing Chun from Ip Man.",
+                 "same_end": "Ip Man taught. " + verbalized.split(". ", 1)[1],
+                 "verbalized": verbalized}
+        argv = ["metrics", "--input", BRUCE, "--selection", str(sel), *mode]
+        outputs = {}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            assert main([*argv, "--recovered", str(tmp_path / name)]) == 0
+            outputs[name] = capsys.readouterr().out
+        calls = []
+        render = kq.metrics.verbalize
+        monkeypatch.setattr(
+            kq.metrics, "verbalize", lambda *args: calls.append(1) or render(*args)
+        )
+        for name in texts:
+            calls.clear()
+            assert main([*argv, "--recovered", str(tmp_path / name)]) == 0
+            assert capsys.readouterr().out == outputs[name]
+            assert len(calls) == (name != "unrelated"), name
+
     def test_non_finite_selection_figures_are_data_error(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"
         self.select_to(sel)
