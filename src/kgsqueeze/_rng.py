@@ -16,6 +16,8 @@ importing it, and no numpy release can move them.
 - The sample is Floyd's algorithm (Bentley & Floyd 1987), or a tail
   Fisher-Yates shuffle when n > 10,000 and k > n // 50, as in numpy.
   numpy's final shuffle of a Floyd sample only reorders it and is skipped.
+  A sample of all n indices is the whole range on either branch, so it
+  is returned without a draw.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def sample_indices(seed: int, n: int, k: int) -> list[int]:
     ``numpy.random.default_rng(seed).choice(n, k, replace=False)`` holds."""
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} of {n} indices")
+    if k == n:
+        return list(range(n))
     draws = _draws(seed)
     if n > 10_000 and k > n // 50:
         pool = list(range(n))

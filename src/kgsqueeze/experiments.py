@@ -60,6 +60,13 @@ def run_sweep(
 ) -> tuple[list[SweepRow], list[RunRecord]]:
     """All strategies across the ratio grid; see the module docstring.
 
+    Each evaluation is one ``select``, ``verbalize`` and ``similarity``
+    call on ``graph``.  What they share lives on the graph object, built
+    on first use: the distances, one ordering of the quadruples per
+    deterministic strategy, the sentences and the scoring records.  So a
+    deterministic evaluation takes a prefix of its strategy's ordering
+    and scores in one pass, and none of these caches grows with the grid.
+
     Returns rows sorted by (strategy, K) and the individual
     random-baseline run records sorted by (K, run index).  ``runs`` must
     be an int of at least 1 and ``seed`` one of at least 0 (a bool is

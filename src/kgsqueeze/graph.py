@@ -19,11 +19,14 @@ reads the columns.
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
 share across threads.  A graph object keeps private caches of facts
-derived from it (its entity index, selection facts, sentences and
-original-text counts) in its instance ``__dict__``, outside equality and
-hashing.  They are filled on first use; filling them is idempotent, since
-every entry is a function of the graph alone, so a lost race only
-computes an entry twice.
+derived from it in its instance ``__dict__``, outside equality and
+hashing: its entity index and endpoint counts, the selection facts (the
+distances' reach), at most one ordering of its quadruples per
+deterministic strategy, each quadruple's sentence and, per case mode,
+the normalized texts with one record per entity scored.  None grows
+with the ratios or depths a caller asks for.  They are filled on first
+use; filling them is idempotent, since every entry is a function of the
+graph alone, so a lost race only computes an entry twice.
 """
 
 from __future__ import annotations
@@ -188,6 +191,14 @@ class _Quadruples(Sequence):
 
     def __eq__(self, other: object) -> bool:
         return tuple(self) == other
+
+
+def _take(column: Sequence | Mapping, indices: Sequence) -> tuple:
+    """``tuple(column[i] for i in indices)``, gathered in one C call: the
+    scoring path reads a column, or a map by index, at every selected index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(column)
+    return tuple([column[i] for i in indices])
 
 
 def relation_entropy(dist: RelationDistribution) -> float:

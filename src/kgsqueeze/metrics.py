@@ -16,11 +16,13 @@ model (e.g. a generative one) pass its output instead.
 What depends on the graph alone is computed once per graph object, on
 first use, and kept in its instance ``__dict__``: each quadruple's
 sentence, and per case mode the normalized original text, every
-entity's normalized surface, each selected surface's count in the
-original text and whether the surface is plain (see ``similarity``).
-A scoring then only counts in the recovered text, and not even there
-for a plain surface when the text is ``verbalize``'s own: its count is
-then how often its entity is a selected endpoint.
+entity's normalized surface and, per entity first selected, one record
+of its surface, its count in the original text and whether the surface
+is plain (see ``similarity``).  A scoring then reads one record per
+selected entity and sums as it goes; it counts only in the recovered
+text, and not even there for a plain surface when the text is
+``verbalize``'s own: its count is then how often its entity is a
+selected endpoint.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 
 from .errors import InvalidPhiError
-from .graph import ProbabilityGraph
+from .graph import ProbabilityGraph, _take
 from .selection import SelectionResult, _is_int
 
 #: Default accuracy/completeness weight: both contribute equally.
@@ -93,7 +96,7 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     for i in result.selected:
         if i not in sentences:
             sentences[i] = _sentence(graph, i)
-    return " ".join([sentences[i] for i in result.selected])
+    return " ".join(_take(sentences, result.selected))
 
 
 def _sentence(graph: ProbabilityGraph, i: int) -> str:
@@ -102,32 +105,18 @@ def _sentence(graph: ProbabilityGraph, i: int) -> str:
     return f"{head} {graph.top_relations[i]} {tail}."
 
 
-def _original_counts(
+def _scoring_facts(
     graph: ProbabilityGraph, case_insensitive: bool
-) -> tuple[str, dict[str, tuple[str, int]]]:
-    """The graph's normalized text and, per entity id counted so far, its
-    normalized surface and that surface's count in the text; one pair per
-    case mode, kept in the graph's instance ``__dict__``.  ``similarity``
-    fills the map one entity at a time.
+) -> tuple[str, dict[str, str], str, str, frozenset[str], dict[str, tuple]]:
+    """Per case mode, kept in the graph's instance ``__dict__``: the
+    normalized original text, every entity's normalized surface by id,
+    those surfaces joined by newlines, the normalized relation labels
+    framed by newlines and as a set, and the entity records, a map
+    ``similarity`` fills one entity at a time with (surface, count in the
+    original text, whether the surface is plain), the flag ``None`` until
+    a verbalization is scored.
     """
-    modes = graph.__dict__.setdefault("_original_counts", {})
-    entry = modes.get(case_insensitive)
-    if entry is None:
-        entry = modes.setdefault(
-            case_insensitive, (_normalize(graph.text, case_insensitive), {})
-        )
-    return entry
-
-
-def _surface_facts(
-    graph: ProbabilityGraph, case_insensitive: bool
-) -> tuple[dict[str, str], str, str, frozenset[str], dict[str, bool]]:
-    """Per case mode, kept in the graph's instance ``__dict__``: every
-    entity's normalized surface by id, those surfaces joined by newlines,
-    the normalized relation labels framed by newlines and as a set, and
-    the plain flags, a map ``similarity`` fills one entity at a time.
-    """
-    modes = graph.__dict__.setdefault("_surface_facts", {})
+    modes = graph.__dict__.setdefault("_scoring_facts", {})
     facts = modes.get(case_insensitive)
     if facts is None:
         surfaces = {
@@ -135,6 +124,7 @@ def _surface_facts(
         }
         labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
         facts = modes.setdefault(case_insensitive, (
+            _normalize(graph.text, case_insensitive),
             surfaces,
             "\n".join(surfaces.values()),
             "\n" + "\n".join(labels) + "\n",
@@ -218,47 +208,49 @@ def similarity(
     a tail.  The recovered text is normalized only when a selected
     surface is not plain, or the text is not the verbalization.
 
-    The original text, each surface, each entity's count in the original
-    and whether its surface is plain are taken once per graph object and
-    case mode; ``entity_counts`` is a fresh dict on every call.
+    The original text and each surface are normalized, and each entity's
+    count in the original and whether its surface is plain are decided,
+    once per graph object and case mode; ``entity_counts`` is a fresh
+    dict on every call.
     """
     _check_phi(phi)
-    original, originals = _original_counts(graph, case_insensitive)
-    surfaces, joined, labels, label_set, plain = _surface_facts(
+    original, surfaces, joined, labels, label_set, records = _scoring_facts(
         graph, case_insensitive
     )
     selected = result.selected
-    heads, tails = graph.heads, graph.tails
     # Cheap necessary test first: the verbalization ends with the last sentence.
     verbalized = (
         not selected or recovered_text.endswith(_sentence(graph, selected[-1]))
     ) and recovered_text == verbalize(result, graph)
     recovered = None
-    endpoints = Counter(
-        entity_id for i in selected for entity_id in (heads[i], tails[i])
-    )
+    endpoints = Counter(chain.from_iterable(
+        zip(_take(graph.heads, selected), _take(graph.tails, selected))
+    ))
     counts = {}
+    shared = original_total = recovered_total = 0
     for entity_id, incidence in endpoints.items():
-        surface = surfaces[entity_id]
-        if entity_id not in originals:
-            originals[entity_id] = (surface, original.count(surface))
-        in_original = originals[entity_id][1]
-        if verbalized:
-            if entity_id not in plain:
-                plain[entity_id] = _is_plain(surface, joined, labels, label_set)
-            if plain[entity_id]:
-                counts[entity_id] = (in_original, incidence)
-                continue
-        if recovered is None:
-            recovered = _normalize(recovered_text, case_insensitive)
-        counts[entity_id] = (in_original, recovered.count(surface))
-    shared = sum(min(o, r) for o, r in counts.values())
-    original_total = sum(o for o, _ in counts.values())
-    recovered_total = sum(r for _, r in counts.values())
+        record = records.get(entity_id)
+        if record is None:
+            surface = surfaces[entity_id]
+            record = records[entity_id] = (surface, original.count(surface), None)
+        surface, in_original, plain = record
+        if verbalized and plain is None:
+            plain = _is_plain(surface, joined, labels, label_set)
+            records[entity_id] = (surface, in_original, plain)
+        if verbalized and plain:
+            in_recovered = incidence
+        else:
+            if recovered is None:
+                recovered = _normalize(recovered_text, case_insensitive)
+            in_recovered = recovered.count(surface)
+        counts[entity_id] = (in_original, in_recovered)
+        shared += min(in_original, in_recovered)
+        original_total += in_original
+        recovered_total += in_recovered
     acc = shared / recovered_total if recovered_total else 0.0
     comp = shared / original_total if original_total else 0.0
-    uncertainty = fsum([graph.entropies[i] for i in selected])
-    theta = fsum([graph.top_probabilities[i] for i in selected])
+    uncertainty = fsum(_take(graph.entropies, selected))
+    theta = fsum(_take(graph.top_probabilities, selected))
     denominator = phi * acc + (1.0 - phi) * comp
     score = theta * acc * comp / denominator if denominator > 0.0 else 0.0
     return MetricsReport(

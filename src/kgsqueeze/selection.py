@@ -21,13 +21,15 @@ index set of numpy's ``default_rng(seed).choice`` (checked against numpy
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from math import floor, fsum, isfinite, isinf, log2
 
 from ._rng import sample_indices
 from .distance import DistanceTable, all_distances, select_initial_node
 from .errors import EmptyGraphError, MissingSeedError
-from .graph import ProbabilityGraph
+from .graph import ProbabilityGraph, _take
 
 #: Entropy-greedy selection (the default) plus the five baselines.
 STRATEGIES = (
@@ -203,8 +205,6 @@ class _GraphFacts:
     reach: tuple[int | float, ...]  # per quadruple: max(d[head], d[tail])
     sorted_reach: tuple[int | float, ...]
     deepest: int  # the largest finite distance
-    by_entropy: tuple[int, ...]  # indices ranked by (entropy, index)
-    endpoint_counts: tuple[int, ...]  # per quadruple: summed endpoint counts
 
 
 def _facts(graph: ProbabilityGraph) -> _GraphFacts:
@@ -212,18 +212,46 @@ def _facts(graph: ProbabilityGraph) -> _GraphFacts:
     like its entity index, so outside equality and hashing."""
     facts = graph.__dict__.get("_selection_facts")
     if facts is None:
-        ends = list(zip(graph.heads, graph.tails))
         distances = all_distances(graph, select_initial_node(graph))
-        # The counts select_initial_node just walked, read without a copy.
-        d, counts = distances.distance, graph._endpoint_counts
+        d = distances.distance
+        ends = zip(graph.heads, graph.tails)
         reach = tuple([max(d[head], d[tail]) for head, tail in ends])
         facts = graph.__dict__["_selection_facts"] = _GraphFacts(
-            reach, tuple(sorted(reach)), distances.max_finite(),
-            # A stable sort of the indices: equal entropies keep input order.
-            tuple(sorted(range(len(ends)), key=graph.entropies.__getitem__)),
-            tuple([counts[head] + counts[tail] for head, tail in ends]),
+            reach, tuple(sorted(reach)), distances.max_finite()
         )
     return facts
+
+
+def _ordering(graph: ProbabilityGraph, strategy: str) -> Sequence[int]:
+    """Every quadruple index in the order a deterministic strategy prefers
+    it: ``proposed`` by (entropy, index), ``entity_freq_desc`` / ``_asc``
+    by (-/+ summed endpoint count, index), ``order_front`` / ``order_back``
+    in input order from either end.  Built on the strategy's first use and
+    kept in the graph's instance ``__dict__``, one per strategy.
+    """
+    orderings = graph.__dict__.setdefault("_orderings", {})
+    order = orderings.get(strategy)
+    if order is None:
+        n = len(graph.heads)
+        if strategy == "order_front":
+            order = range(n)
+        elif strategy == "order_back":
+            order = range(n - 1, -1, -1)
+        else:
+            if strategy == "proposed":
+                keys = graph.entropies
+            else:
+                # The counts select_initial_node walked, read without a copy.
+                counts = graph._endpoint_counts
+                sign = -1 if strategy == "entity_freq_desc" else 1
+                keys = [
+                    sign * (counts[head] + counts[tail])
+                    for head, tail in zip(graph.heads, graph.tails)
+                ]
+            # A stable sort of the indices: equal keys keep input order.
+            order = tuple(sorted(range(n), key=keys.__getitem__))
+        orderings[strategy] = order
+    return order
 
 
 def _pick(
@@ -234,20 +262,16 @@ def _pick(
 ) -> list[int]:
     """Choose ``target`` indices from the candidate pool per the strategy."""
     strategy = config.strategy
-    if strategy == "proposed":
-        members = set(pool)
-        return [i for i in _facts(graph).by_entropy if i in members][:target]
     if strategy == "random":
         if config.seed is None:
             raise MissingSeedError("random strategy needs a seed")
-        return sorted(pool[i] for i in sample_indices(config.seed, len(pool), target))
-    if strategy in ("entity_freq_desc", "entity_freq_asc"):
-        counts = _facts(graph).endpoint_counts
-        sign = -1 if strategy == "entity_freq_desc" else 1
-        return sorted(pool, key=lambda i: (sign * counts[i], i))[:target]
+        return sorted(_take(pool, sample_indices(config.seed, len(pool), target)))
     if strategy == "order_front":
         return pool[:target]
-    return pool[len(pool) - target :][::-1]  # order_back
+    if strategy == "order_back":
+        return pool[len(pool) - target :][::-1]
+    members = set(pool)
+    return [i for i in _ordering(graph, strategy) if i in members][:target]
 
 
 def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
@@ -270,26 +294,37 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
 
     The depth relaxes to the quota-th smallest reach, at most the deepest
     finite distance; a pool still short takes the stranded quadruples in
-    (entropy, index) order.  The distances and rankings depend only on the
-    graph: they are computed on its first selection and reused by every
-    later one, the ``metrics`` replay and each sweep evaluation included.
+    (entropy, index) order.  The distances, the reach and each
+    deterministic strategy's ordering of all quadruples depend only on
+    the graph: they are computed on its first selection (an ordering on
+    its strategy's first) and reused by every later one, the ``metrics``
+    replay and each sweep evaluation included.  Without the fallback, a
+    deterministic strategy takes the first quota indices of its ordering
+    whose reach is within the depth; ``random`` and the fallback draw
+    from the pool.
     """
     if not graph.heads:
         raise EmptyGraphError("cannot select from an empty graph")
     facts = _facts(graph)
-    target = quota(config.ratio, len(graph.heads))
+    reach = facts.reach
+    target = quota(config.ratio, len(reach))
     needed = facts.sorted_reach[target - 1]
-    depth = max(config.max_depth, facts.deepest if isinf(needed) else needed)
-    pool = [i for i, r in enumerate(facts.reach) if r <= depth]
-    fallback = len(pool) < target
-    if fallback:
-        pool += [i for i in facts.by_entropy if facts.reach[i] > depth]
-    selected = _pick(graph, pool, target, config)
+    # Short of the quota even at the deepest finite distance.
+    fallback = isinf(needed)
+    depth = max(config.max_depth, facts.deepest if fallback else needed)
+    if fallback or config.strategy == "random":
+        pool = [i for i, r in enumerate(reach) if r <= depth]
+        if fallback:
+            pool += [i for i in _ordering(graph, "proposed") if reach[i] > depth]
+        selected = _pick(graph, pool, target, config)
+    else:
+        within = (i for i in _ordering(graph, config.strategy) if reach[i] <= depth)
+        selected = list(islice(within, target))
     return SelectionResult(
         selected=tuple(selected),
         quota=target,
         effective_depth=depth,
-        semantic_uncertainty=fsum([graph.entropies[i] for i in selected]),
+        semantic_uncertainty=fsum(_take(graph.entropies, selected)),
         relaxation_steps=depth - config.max_depth,
         disconnected_fallback=fallback,
         ratio=config.ratio,

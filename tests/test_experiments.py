@@ -3,10 +3,15 @@
 from collections import Counter
 from math import fsum
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kgsqueeze as kq
 from kgsqueeze import experiments
+
+from conftest import random_graph
 
 
 class TestRatioGrid:
@@ -182,3 +187,43 @@ class TestRunSweep:
                 assert abs(row.SS - row.theta * row.C) <= 1e-12
         for record in records:
             assert abs(record.SS - record.theta * record.C) <= 1e-12
+
+
+class TestSweepCaches:
+    """A sweep on one graph object gives what a fresh graph per evaluation gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(0, 3),
+        runs=st.integers(1, 3),
+        connected=st.booleans(),
+    )
+    @example(seed=2, depth=0, runs=2, connected=False)  # relaxes, then falls back
+    def test_rows_and_records_match_fresh_graphs(self, seed, depth, runs, connected):
+        graph = random_graph(np.random.default_rng(seed), connected=connected)
+        document = kq.serialize_graph(graph)
+        fresh = []
+
+        # One build_graph per evaluation, shared by its select, verbalize
+        # and similarity only, so no cache outlives the evaluation.
+        def select(_, config):
+            fresh.append(kq.parse_graph_document(document))
+            return kq.select(fresh[-1], config)
+
+        def verbalize(result, _):
+            return kq.verbalize(result, fresh[-1])
+
+        def similarity(_, result, text, phi):
+            return kq.similarity(fresh[-1], result, text, phi)
+
+        sweep = dict(
+            k_from=0.05, k_to=1.0, k_step=0.05, depth=depth, runs=runs, seed=seed
+        )
+        cached = kq.run_sweep(graph, **sweep)
+        with pytest.MonkeyPatch.context() as patch:
+            for function in (select, verbalize, similarity):
+                patch.setattr(experiments, function.__name__, function)
+            expected = kq.run_sweep(graph, **sweep)
+        assert len(fresh) == 20 * (5 + runs)
+        assert cached == expected

@@ -458,13 +458,15 @@ class TestBuildGraph:
         for case_insensitive in (False, True):
             kq.similarity(bruce, result, text, case_insensitive=case_insensitive)
         fresh = kq.parse_graph_document(kq.serialize_graph(bruce))
-        caches = ("_by_id", "_selection_facts", "_sentences", "_original_counts")
+        caches = (
+            "_by_id", "_selection_facts", "_orderings", "_sentences", "_scoring_facts"
+        )
         for cache in caches:
             assert cache in bruce.__dict__ and cache not in fresh.__dict__
         assert fresh == bruce and hash(fresh) == hash(bruce)
         again = pickle.loads(pickle.dumps(bruce))
         assert again == bruce
-        for cache in ("_sentences", "_original_counts"):
+        for cache in ("_orderings", "_sentences", "_scoring_facts"):
             assert again.__dict__[cache] == bruce.__dict__[cache]
         assert again.entity("bruce_lee") == bruce.entity("bruce_lee")
         assert kq.select(again, config) == kq.select(fresh, config)

@@ -465,7 +465,8 @@ class TestScoringCaches:
             report = kq.similarity(graph, result, verbalized)
             assert calls[verbalized, False] == scorings
         assert report.entity_counts == {"chu_kochen": (1, 1), "birth_date": (1, 1)}
-        assert graph.__dict__["_surface_facts"][False][4] == {
+        records = graph.__dict__["_scoring_facts"][False][5]
+        assert {entity_id: plain for entity_id, (_, _, plain) in records.items()} == {
             "chu_kochen": True,
             "birth_date": False,
         }
@@ -475,13 +476,20 @@ class TestScoringCaches:
         result = make_result([3])
         assert kq.verbalize(result, graph) == "Chu Kochen born on 1890.3.7."
         assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
-        assert "_original_counts" not in graph.__dict__
+        assert "_scoring_facts" not in graph.__dict__
         kq.similarity(graph, result, "Chu Kochen")
-        modes = graph.__dict__["_original_counts"]
+        modes = graph.__dict__["_scoring_facts"]
         assert list(modes) == [False]
-        assert modes[False][1] == {
-            "chu_kochen": ("Chu Kochen", 1),
-            "birth_date": ("1890.3.7", 1),
+        # (surface, count in the original, plain): plainness is decided
+        # only when a verbalization is scored.
+        assert modes[False][5] == {
+            "chu_kochen": ("Chu Kochen", 1, None),
+            "birth_date": ("1890.3.7", 1, None),
+        }
+        kq.similarity(graph, result, kq.verbalize(result, graph))
+        assert modes[False][5] == {
+            "chu_kochen": ("Chu Kochen", 1, True),
+            "birth_date": ("1890.3.7", 1, False),
         }
         assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
 

@@ -4,7 +4,8 @@
 replace=False)`` index set and ``derive_seed`` must equal
 ``SeedSequence(entropy).generate_state(1)[0]``, for seeds past 2**64 and
 on both of numpy's sampling branches: Floyd's algorithm, and the tail
-shuffle taken when n > 10,000 and k > n // 50.  The bounded draw is
+shuffle taken when n > 10,000 and k > n // 50, with k = 0 and k = n among
+them.  A sample of every index makes no draw.  The bounded draw is
 checked on its own over the whole 32-bit range, where Lemire's method
 rejects often enough to test its retry loop.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgsqueeze import _rng
 from kgsqueeze._rng import _bounded, _draws, derive_seed, sample_indices
 
 np = pytest.importorskip("numpy")
@@ -38,10 +40,24 @@ def sizes(draw):
 @example(seed=2**64 + 1, size=(10_001, 200))
 @example(seed=2**64 + 1, size=(10_001, 201))
 @example(seed=0, size=(1, 1))
+@example(seed=0, size=(0, 0))
+@example(seed=3, size=(2_000, 2_000))  # k = n, Floyd's branch
+@example(seed=3, size=(2_000, 0))
+@example(seed=2**64 + 1, size=(10_001, 10_001))  # k = n, the tail shuffle's
+@example(seed=2**64 + 1, size=(10_001, 0))  # k = 0 takes Floyd's at any n
 def test_sample_indices_is_numpys_choice(seed, size):
     n, k = size
     expected = np.random.default_rng(seed).choice(n, k, replace=False)
     assert sorted(sample_indices(seed, n, k)) == sorted(expected.tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2_000, 10_001])
+def test_sampling_every_index_draws_nothing(monkeypatch, n):
+    def no_draws(seed):
+        raise AssertionError("drew from the generator")
+
+    monkeypatch.setattr(_rng, "_draws", no_draws)
+    assert sorted(sample_indices(5, n, n)) == list(range(n))
 
 
 @settings(deadline=None)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import kgsqueeze as kq
 from kgsqueeze import selection
-from kgsqueeze.selection import _pick
 
 from conftest import FIXTURE_DIR, random_graph
 
@@ -48,6 +47,27 @@ def hop_by_hop_relaxation(graph, distances, target, max_depth):
         stranded.sort(key=lambda i: (graph.quadruples[i].entropy, i))
         pool = pool + stranded
     return pool, depth, fallback
+
+
+def reference_pick(graph, pool, target, config):
+    """Reference pick: each strategy's rule applied to the pool itself,
+    with numpy's generator for ``random``."""
+    strategy = config.strategy
+    if strategy == "random":
+        chosen = np.random.default_rng(config.seed).choice(len(pool), target, False)
+        return sorted(pool[i] for i in chosen.tolist())
+    if strategy == "order_front":
+        return pool[:target]
+    if strategy == "order_back":
+        return pool[len(pool) - target :][::-1]
+    if strategy == "proposed":
+        return sorted(pool, key=lambda i: (graph.quadruples[i].entropy, i))[:target]
+    counts = graph.occurrence_counts()
+    sign = -1 if strategy == "entity_freq_desc" else 1
+    quads = graph.quadruples
+    return sorted(
+        pool, key=lambda i: (sign * (counts[quads[i].head] + counts[quads[i].tail]), i)
+    )[:target]
 
 
 def brute_force_min_su(graph, pool, size):
@@ -230,7 +250,7 @@ class TestRelaxation:
                 for strategy in kq.STRATEGIES:
                     config = kq.SelectionConfig(ratio, max_depth, strategy, seed)
                     r = kq.select(g, config)
-                    assert r.selected == tuple(_pick(g, pool, target, config))
+                    assert r.selected == tuple(reference_pick(g, pool, target, config))
                     assert r.effective_depth == depth
                     assert r.relaxation_steps == depth - max_depth
                     assert r.disconnected_fallback == fallback
@@ -302,6 +322,56 @@ class TestGraphFacts:
         shuffler.shuffle(configs)
         for config in configs:
             assert kq.select(g, config) == kq.select(dataclasses.replace(g), config)
+
+
+class TestOrderings:
+    """Each deterministic strategy keeps one ordering per graph object."""
+
+    @staticmethod
+    def cache_sizes(graph):
+        return {
+            name: len(value) if isinstance(value, dict) else None
+            for name, value in graph.__dict__.items()
+        }
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_caches_do_not_grow_with_depths_or_quotas(self, seed):
+        g = random_graph(np.random.default_rng(seed))  # often disconnected
+        total = len(g.heads)
+        deepest = kq.all_distances(g, kq.select_initial_node(g)).max_finite()
+        kq.select(g, kq.SelectionConfig(1.0, 0))
+        sizes = self.cache_sizes(g)
+        for target in range(1, total + 1):
+            for max_depth in range(deepest + 3):
+                for strategy in kq.STRATEGIES:
+                    ratio = target / total
+                    kq.select(g, kq.SelectionConfig(ratio, max_depth, strategy, seed))
+        orderings = g.__dict__["_orderings"]
+        assert set(orderings) == set(kq.STRATEGIES) - {"random"}
+        for order in orderings.values():
+            assert sorted(order) == list(range(total))
+        sizes["_orderings"] = len(orderings)
+        assert self.cache_sizes(g) == sizes
+
+    def test_one_shot_select_builds_only_its_own_ordering(self, monkeypatch, tmp_path):
+        from kgsqueeze import cli
+
+        graphs = []
+
+        def parsed(document):
+            graphs.append(cli_parse(document))
+            return graphs[-1]
+
+        cli_parse = cli.parse_graph_document
+        monkeypatch.setattr(cli, "parse_graph_document", parsed)
+        argv = ["select", "--input", str(FIXTURE_DIR / "hangzhou.json"),
+                "--k", "0.5", "--depth", "1", "--output", str(tmp_path / "s.json")]
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--strategy", "order_back"]) == 0
+        first, second = graphs
+        assert list(first.__dict__["_orderings"]) == ["proposed"]
+        assert list(second.__dict__["_orderings"]) == ["order_back"]
 
 
 class TestStrategies:
