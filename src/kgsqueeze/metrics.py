@@ -91,11 +91,14 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     sentence is rendered on its first use and kept on the graph object.
     """
     # Kept in the graph's instance __dict__ like its entity index, so
-    # outside equality and hashing; filled one quadruple at a time.
+    # outside equality and hashing; filled only when a gather misses.
     sentences = graph.__dict__.setdefault("_sentences", {})
-    for i in result.selected:
-        if i not in sentences:
-            sentences[i] = _sentence(graph, i)
+    try:
+        return " ".join(_take(sentences, result.selected))
+    except KeyError:
+        for i in result.selected:
+            if i not in sentences:
+                sentences[i] = _sentence(graph, i)
     return " ".join(_take(sentences, result.selected))
 
 
@@ -218,9 +221,14 @@ def similarity(
         graph, case_insensitive
     )
     selected = result.selected
-    # Cheap necessary test first: the verbalization ends with the last sentence.
+    # Cheap necessary test first: the verbalization ends with the last
+    # sentence, read from verbalize's cache when it holds it.
     verbalized = (
-        not selected or recovered_text.endswith(_sentence(graph, selected[-1]))
+        not selected
+        or recovered_text.endswith(
+            graph.__dict__.get("_sentences", {}).get(selected[-1])
+            or _sentence(graph, selected[-1])
+        )
     ) and recovered_text == verbalize(result, graph)
     recovered = None
     endpoints = Counter(chain.from_iterable(

@@ -10,13 +10,15 @@ exhausted all finite distances, unreachable-endpoint quadruples are
 admitted too (flagged on the result), so a selection of exactly the
 quota size always exists.
 
-The entropy-greedy strategy then takes the quota of smallest-entropy
-quadruples from the eligible set, which is exactly the subset of minimum
-total entropy.  Five baseline strategies draw from the same eligible
-set, so comparisons isolate the selection criterion itself.  The random
-baseline draws from the package's own PCG64 stream, which holds the
-index set of numpy's ``default_rng(seed).choice`` (checked against numpy
-2.4.6) without importing numpy.
+Every strategy reads its own ordering of all quadruples up to a reach
+limit: the relaxed depth or, under the fallback, none.  The
+entropy-greedy strategy orders by entropy, so the quota it keeps is
+exactly the subset of minimum total entropy.  The baselines read other
+orderings of the same eligible set, or sample it, so comparisons
+isolate the selection criterion itself.  The random baseline draws from
+the package's own PCG64 stream, which holds the index set of numpy's
+``default_rng(seed).choice`` (checked against numpy 2.4.6) without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from math import floor, fsum, isfinite, isinf, log2
+from math import floor, fsum, inf, isfinite, isinf, log2
 
 from ._rng import sample_indices
 from .distance import DistanceTable, all_distances, select_initial_node
@@ -225,18 +227,23 @@ def _facts(graph: ProbabilityGraph) -> _GraphFacts:
 def _ordering(graph: ProbabilityGraph, strategy: str) -> Sequence[int]:
     """Every quadruple index in the order a deterministic strategy prefers
     it: ``proposed`` by (entropy, index), ``entity_freq_desc`` / ``_asc``
-    by (-/+ summed endpoint count, index), ``order_front`` / ``order_back``
-    in input order from either end.  Built on the strategy's first use and
-    kept in the graph's instance ``__dict__``, one per strategy.
+    by (-/+ summed endpoint count, index), ``order_front`` the reachable
+    quadruples in input order and then the stranded ones by (entropy,
+    index), ``order_back`` the reverse of that.  Built on the strategy's
+    first use and kept in the graph's instance ``__dict__``, one per
+    strategy; ``random`` samples from ``order_front``'s.
     """
     orderings = graph.__dict__.setdefault("_orderings", {})
     order = orderings.get(strategy)
     if order is None:
         n = len(graph.heads)
-        if strategy == "order_front":
-            order = range(n)
-        elif strategy == "order_back":
-            order = range(n - 1, -1, -1)
+        if strategy in ("order_front", "order_back"):
+            reach = _facts(graph).reach
+            order = [i for i in range(n) if not isinf(reach[i])]
+            stranded = [i for i in range(n) if isinf(reach[i])]
+            # A stable sort: equal entropies keep input order.
+            order += sorted(stranded, key=graph.entropies.__getitem__)
+            order = tuple(order if strategy == "order_front" else reversed(order))
         else:
             if strategy == "proposed":
                 keys = graph.entropies
@@ -254,54 +261,26 @@ def _ordering(graph: ProbabilityGraph, strategy: str) -> Sequence[int]:
     return order
 
 
-def _pick(
-    graph: ProbabilityGraph,
-    pool: list[int],
-    target: int,
-    config: SelectionConfig,
-) -> list[int]:
-    """Choose ``target`` indices from the candidate pool per the strategy."""
-    strategy = config.strategy
-    if strategy == "random":
-        if config.seed is None:
-            raise MissingSeedError("random strategy needs a seed")
-        return sorted(_take(pool, sample_indices(config.seed, len(pool), target)))
-    if strategy == "order_front":
-        return pool[:target]
-    if strategy == "order_back":
-        return pool[len(pool) - target :][::-1]
-    members = set(pool)
-    return [i for i in _ordering(graph, strategy) if i in members][:target]
-
-
 def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     """Pick ``quota(ratio, len(graph))`` quadruples with the configured strategy.
 
-    Quota and eligibility, with relaxation and the disconnected fallback,
-    are the same for every strategy; they differ only in which quota-sized
-    subset of the eligible pool they take:
+    One rule for every strategy: read its ordering of all quadruples
+    (see ``_ordering``) and keep those whose reach, the larger endpoint
+    distance from the central concept, is within a limit.  The limit is
+    the depth relaxed to the quota-th smallest reach, at most the
+    deepest finite distance; a graph still short there takes the
+    disconnected fallback, whose limit is infinite.  A deterministic
+    strategy keeps the first quota, so ``proposed`` (entropy-greedy)
+    keeps the subset of minimum total entropy, smallest entropy first,
+    and ``order_back``'s indices come back in reverse.  ``random`` keeps
+    a uniform subset of ``order_front``'s within-limit part, drawn from
+    a PCG64 generator seeded with ``config.seed`` (required), in input
+    order.
 
-    - ``proposed`` (entropy-greedy): the smallest-entropy quadruples, the
-      subset of minimum total entropy; ties break on input order and
-      indices come back smallest entropy first;
-    - ``random``: uniform subset from a PCG64 generator seeded with
-      ``config.seed`` (required), reported in input order;
-    - ``entity_freq_desc`` / ``entity_freq_asc``: by summed endpoint
-      occurrence counts over the whole graph, descending/ascending, with
-      input-order ties;
-    - ``order_front`` / ``order_back``: the first / last quota in input
-      order (``order_back``'s indices come back in reverse).
-
-    The depth relaxes to the quota-th smallest reach, at most the deepest
-    finite distance; a pool still short takes the stranded quadruples in
-    (entropy, index) order.  The distances, the reach and each
-    deterministic strategy's ordering of all quadruples depend only on
-    the graph: they are computed on its first selection (an ordering on
-    its strategy's first) and reused by every later one, the ``metrics``
-    replay and each sweep evaluation included.  Without the fallback, a
-    deterministic strategy takes the first quota indices of its ordering
-    whose reach is within the depth; ``random`` and the fallback draw
-    from the pool.
+    The distances, the reach and each ordering depend only on the graph:
+    they are computed on its first selection (an ordering on its
+    strategy's first) and reused by every later one, the ``metrics``
+    replay and each sweep evaluation included.
     """
     if not graph.heads:
         raise EmptyGraphError("cannot select from an empty graph")
@@ -312,13 +291,15 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     # Short of the quota even at the deepest finite distance.
     fallback = isinf(needed)
     depth = max(config.max_depth, facts.deepest if fallback else needed)
-    if fallback or config.strategy == "random":
-        pool = [i for i, r in enumerate(reach) if r <= depth]
-        if fallback:
-            pool += [i for i in _ordering(graph, "proposed") if reach[i] > depth]
-        selected = _pick(graph, pool, target, config)
+    limit = inf if fallback else depth
+    if config.strategy == "random":
+        if config.seed is None:
+            raise MissingSeedError("random strategy needs a seed")
+        within = [i for i in _ordering(graph, "order_front") if reach[i] <= limit]
+        drawn = sample_indices(config.seed, len(within), target)
+        selected = sorted(_take(within, drawn))
     else:
-        within = (i for i in _ordering(graph, config.strategy) if reach[i] <= depth)
+        within = (i for i in _ordering(graph, config.strategy) if reach[i] <= limit)
         selected = list(islice(within, target))
     return SelectionResult(
         selected=tuple(selected),

@@ -493,6 +493,23 @@ class TestScoringCaches:
         }
         assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
 
+    def test_scoring_a_verbalization_on_a_warm_graph_renders_no_sentence(
+        self, monkeypatch
+    ):
+        graph = fresh_fixture("bruce")
+        results = [kq.select(graph, kq.SelectionConfig(k, 2)) for k in (0.1, 0.5, 1.0)]
+        texts = [kq.verbalize(result, graph) for result in results]
+        calls = []
+        render = metrics._sentence
+        monkeypatch.setattr(
+            metrics, "_sentence", lambda *args: calls.append(args) or render(*args)
+        )
+        for result, text in zip(results, texts):
+            assert kq.verbalize(result, graph) == text
+            kq.similarity(graph, result, text)
+            kq.similarity(graph, result, text + " ", case_insensitive=True)
+        assert calls == []
+
     def test_entity_counts_is_a_fresh_dict(self):
         graph = fresh_fixture("hangzhou")
         first = kq.similarity(graph, make_result([3]), "Chu Kochen")

@@ -5,9 +5,9 @@ replace=False)`` index set and ``derive_seed`` must equal
 ``SeedSequence(entropy).generate_state(1)[0]``, for seeds past 2**64 and
 on both of numpy's sampling branches: Floyd's algorithm, and the tail
 shuffle taken when n > 10,000 and k > n // 50, with k = 0 and k = n among
-them.  A sample of every index makes no draw.  The bounded draw is
-checked on its own over the whole 32-bit range, where Lemire's method
-rejects often enough to test its retry loop.
+them, and for n up to 2**32 - 1, where Lemire's method rejects often
+inside Floyd's loop.  A sample of every index makes no draw.  The
+bounded draw is checked on its own over the whole 32-bit range too.
 """
 
 import pytest
@@ -24,11 +24,16 @@ SEEDS = st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**100))
 
 @st.composite
 def sizes(draw):
-    """(n, k) on Floyd's branch, small or large n, or on the tail shuffle's."""
-    branch = draw(st.sampled_from(["floyd", "floyd-large-n", "shuffle"]))
+    """(n, k) on Floyd's branch, small, large or 32-bit n, or on the tail
+    shuffle's."""
+    branches = ["floyd", "floyd-large-n", "floyd-32-bit", "shuffle"]
+    branch = draw(st.sampled_from(branches))
     if branch == "floyd":
         n = draw(st.integers(0, 2_000))
         return n, draw(st.integers(0, n))
+    if branch == "floyd-32-bit":
+        # Lemire's method rejects up to about half the draws of such a bound.
+        return draw(st.integers(2**31, 2**32 - 1)), draw(st.integers(0, 60))
     n = draw(st.integers(10_001, 30_000))
     if branch == "floyd-large-n":
         return n, draw(st.integers(0, n // 50))
@@ -40,6 +45,7 @@ def sizes(draw):
 @example(seed=2**64 + 1, size=(10_001, 200))
 @example(seed=2**64 + 1, size=(10_001, 201))
 @example(seed=0, size=(1, 1))
+@example(seed=5, size=(2**31 + 1, 60))  # Floyd's loop, Lemire rejecting often
 @example(seed=0, size=(0, 0))
 @example(seed=3, size=(2_000, 2_000))  # k = n, Floyd's branch
 @example(seed=3, size=(2_000, 0))
