@@ -28,7 +28,7 @@ selected endpoint.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum
@@ -90,16 +90,18 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     construction, so reports built on it are reproducible.  A quadruple's
     sentence is rendered on its first use and kept on the graph object.
     """
+    return " ".join(_sentences(graph, result.selected))
+
+
+def _sentences(graph: ProbabilityGraph, indices: Sequence[int]) -> tuple[str, ...]:
+    """The sentences of ``indices``, in order, each rendered on its first use."""
     # Kept in the graph's instance __dict__ like its entity index, so
-    # outside equality and hashing; filled only when a gather misses.
+    # outside equality and hashing; filled one quadruple at a time.
     sentences = graph.__dict__.setdefault("_sentences", {})
-    try:
-        return " ".join(_take(sentences, result.selected))
-    except KeyError:
-        for i in result.selected:
-            if i not in sentences:
-                sentences[i] = _sentence(graph, i)
-    return " ".join(_take(sentences, result.selected))
+    for i in indices:
+        if i not in sentences:
+            sentences[i] = _sentence(graph, i)
+    return _take(sentences, indices)
 
 
 def _sentence(graph: ProbabilityGraph, i: int) -> str:
@@ -221,14 +223,9 @@ def similarity(
         graph, case_insensitive
     )
     selected = result.selected
-    # Cheap necessary test first: the verbalization ends with the last
-    # sentence, read from verbalize's cache when it holds it.
+    # Cheap necessary test first: the verbalization ends with the last sentence.
     verbalized = (
-        not selected
-        or recovered_text.endswith(
-            graph.__dict__.get("_sentences", {}).get(selected[-1])
-            or _sentence(graph, selected[-1])
-        )
+        not selected or recovered_text.endswith(_sentences(graph, selected[-1:])[0])
     ) and recovered_text == verbalize(result, graph)
     recovered = None
     endpoints = Counter(chain.from_iterable(
