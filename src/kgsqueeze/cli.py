@@ -17,6 +17,7 @@ import errno
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from math import isfinite
 
 from .errors import KgsqueezeError
@@ -24,8 +25,9 @@ from .experiments import ratio_grid, run_sweep
 from .graph import ProbabilityGraph
 from .io import (
     _json_bytes,
+    _selection_chunks,
     emit_run_records,
-    emit_selection,
+    emit_selection,  # unused here; benchmarks/tracing.py wraps this name
     emit_sweep_table,
     parse_graph_document,
     parse_selection_document,
@@ -170,21 +172,23 @@ def _read_graph(path: str) -> ProbabilityGraph:
     return graph
 
 
-def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
-    """Write every (path, data) pair, or leave every path as it was.
+def _write_outputs(outputs: list[tuple[str | None, Iterable[bytes]]]) -> None:
+    """Write every (path, chunks) pair, or leave every path as it was.
 
-    A symlink is followed, so the file it names is written.  Each file is
-    first written to a temporary file beside it; only once all of them
-    are written, and no target is a directory, do they replace their
-    targets.  A replaced file keeps its permission bits.  An existing
-    target that is not a regular file (a FIFO or a device) is written in
-    place instead, just before the replacements.  A path of None means
-    stdout.
+    Chunks are written as they come.  A symlink is followed, so the file
+    it names is written.  Each file is first written to a temporary file
+    beside it; only once all of them are written, and no target is a
+    directory, do they replace their targets.  Any exception on the way
+    removes every temporary file; an OSError becomes a KgsqueezeError,
+    anything else is re-raised as it is.  A replaced file keeps its
+    permission bits.  An existing target that is not a regular file (a
+    FIFO or a device) is written in place instead, just before the
+    replacements.  A path of None means stdout, written last.
     """
     staged: list[tuple[str, str, str]] = []
-    in_place: list[tuple[str, bytes]] = []
+    in_place: list[tuple[str, Iterable[bytes]]] = []
     try:
-        for i, (path, data) in enumerate(outputs):
+        for i, (path, chunks) in enumerate(outputs):
             if path is None:
                 continue
             real = os.path.realpath(path)
@@ -195,7 +199,7 @@ def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
             if mode is not None and stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             if mode is not None and not stat.S_ISREG(mode):
-                in_place.append((path, data))
+                in_place.append((path, chunks))
                 continue
             directory, name = os.path.split(real)
             temp = os.path.join(directory, f".{name}.{os.getpid()}-{i}.tmp")
@@ -203,36 +207,41 @@ def _write_outputs(outputs: list[tuple[str | None, bytes]]) -> None:
                 staged.append((temp, real, path))
                 if mode is not None:
                     os.fchmod(handle.fileno(), stat.S_IMODE(mode))
-                handle.write(data)
-        for path, data in in_place:
+                handle.writelines(chunks)
+        for path, chunks in in_place:
             with open(path, "wb") as handle:
-                handle.write(data)
+                handle.writelines(chunks)
         for temp, real, path in staged:
             os.replace(temp, real)
-    except OSError as exc:
+    except BaseException as exc:
         for temp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temp)
+        if not isinstance(exc, OSError):
+            raise
         reason = exc.strerror or exc
         raise KgsqueezeError(f"cannot write {path}: {reason}") from None
-    for path, data in outputs:
+    for path, chunks in outputs:
         if path is None:
-            _write_stdout(data)
+            _write_stdout(chunks)
 
 
-def _write_stdout(data: bytes) -> None:
+def _write_stdout(chunks: Iterable[bytes]) -> None:
     """Every stdout write goes here; a failed one is a data error, as for files."""
     stream = sys.stdout
     try:
         if hasattr(stream, "buffer"):
-            stream.buffer.write(data)
+            stream.buffer.writelines(chunks)
         else:  # a text stream such as io.StringIO, for in-process callers
-            stream.write(data.decode("utf-8"))
+            for chunk in chunks:
+                stream.write(chunk.decode("utf-8"))
         stream.flush()
     except OSError as exc:
         # As Python's signal docs advise for a closed pipe: point stdout at
         # devnull so the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
         raise KgsqueezeError(f"cannot write <stdout>: {exc.strerror or exc}") from None
 
 
@@ -258,7 +267,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     result = select(
         graph, SelectionConfig(args.k, args.depth, args.strategy, seed)
     )
-    _write_outputs([(args.output, emit_selection(result, graph))])
+    _write_outputs([(args.output, _selection_chunks(result, graph))])
     print(
         f"SU={result.semantic_uncertainty:.9g} "
         f"effective_depth={result.effective_depth}",
@@ -288,9 +297,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=seed,
         phi=args.phi,
     )
-    outputs = [(args.output, emit_sweep_table(rows))]
+    outputs = [(args.output, [emit_sweep_table(rows)])]
     if args.dump_runs is not None:
-        outputs.append((args.dump_runs, emit_run_records(records)))
+        outputs.append((args.dump_runs, [emit_run_records(records)]))
     _write_outputs(outputs)
     print(f"rows={len(rows)} seed={seed}", file=sys.stderr)
     return 0
@@ -319,7 +328,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             for entity_id, (original, rec) in report.entity_counts.items()
         },
     }
-    _write_outputs([(None, _json_bytes(document))])
+    _write_outputs([(None, [_json_bytes(document)])])
     return 0
 
 
@@ -339,7 +348,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     }
     if quota == 0:
         document["note"] = "nothing transmittable"
-    _write_outputs([(None, _json_bytes(document))])
+    _write_outputs([(None, [_json_bytes(document)])])
     return 0
 
 

@@ -9,13 +9,17 @@ plotting tool can consume them and golden files diff cleanly.
 
 Parsers map every malformed input to a structured error; they never let
 a raw decoding exception escape.  Emitters are deterministic: equal
-inputs give identical bytes.
+inputs give identical bytes.  A selection document is also laid out in
+bounded pieces, a batch of entries at a time, which ``select`` writes
+into its staged file or to stdout as they come, so its extra memory
+does not grow with the document.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from math import inf, isclose, isfinite
 
@@ -283,8 +287,8 @@ def serialize_graph(graph: ProbabilityGraph) -> bytes:
     return _json_bytes(doc)
 
 
-def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
-    """The selection document as a dict: the one definition of its layout."""
+def _selection_header(result: SelectionResult) -> dict:
+    """A selection document's fields before ``selected``, in layout order."""
     return {
         "schema_version": SCHEMA_VERSION,
         "strategy": result.strategy,
@@ -295,23 +299,57 @@ def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
         "relaxation_steps": result.relaxation_steps,
         "disconnected_fallback": result.disconnected_fallback,
         "SU": result.semantic_uncertainty,
-        "selected": [
-            {
-                "index": i,
-                "head": graph.entity(graph.heads[i]).surface,
-                "relation": graph.top_relations[i],
-                "tail": graph.entity(graph.tails[i]).surface,
-                "top_probability": graph.top_probabilities[i],
-                "entropy": graph.entropies[i],
-            }
-            for i in result.selected
-        ],
     }
+
+
+def _selection_entry(graph: ProbabilityGraph, i: int) -> dict:
+    """The ``selected`` entry of quadruple ``i``."""
+    return {
+        "index": i,
+        "head": graph.entity(graph.heads[i]).surface,
+        "relation": graph.top_relations[i],
+        "tail": graph.entity(graph.tails[i]).surface,
+        "top_probability": graph.top_probabilities[i],
+        "entropy": graph.entropies[i],
+    }
+
+
+def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
+    """The selection document as a dict, as the ``metrics`` replay compares it."""
+    return _selection_header(result) | {
+        "selected": [_selection_entry(graph, i) for i in result.selected]
+    }
+
+
+#: Entries of ``selected`` laid out and encoded per chunk of a selection.
+_SELECTION_BATCH = 128
+
+
+def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Iterator[bytes]:
+    """The bytes of ``_json_bytes(_selection_fields(result, graph))``, in
+    chunks of ``_SELECTION_BATCH`` entries, so only one batch is held.
+
+    The header is laid out once, with an empty ``selected``, so its text
+    ends in ``[]`` and the closing brace; the batches, each laid out at the
+    entries' indent, go between those brackets.
+    """
+    head = _layout([_selection_header(result) | {"selected": []}], "")[0]
+    selected = result.selected
+    if not selected:
+        yield (head + "\n").encode("utf-8")
+        return
+    opening = head[:-len("[]\n}")] + "[\n    "
+    for start in range(0, len(selected), _SELECTION_BATCH):
+        batch = selected[start:start + _SELECTION_BATCH]
+        entries = _layout([_selection_entry(graph, i) for i in batch], "    ")
+        yield (opening + ",\n    ".join(entries)).encode("utf-8")
+        opening = ",\n    "
+    yield b"\n  ]\n}\n"
 
 
 def emit_selection(result: SelectionResult, graph: ProbabilityGraph) -> bytes:
     """Selection to document bytes; equal inputs give identical bytes."""
-    return _json_bytes(_selection_fields(result, graph))
+    return b"".join(_selection_chunks(result, graph))
 
 
 def parse_selection_document(

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, seeding, determinism, file handling."""
 
+import errno
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import threading
 import pytest
 
 import kgsqueeze as kq
-from kgsqueeze.cli import main
+from kgsqueeze.cli import _write_outputs, _write_stdout, main
 
 from conftest import FIXTURE_DIR
 
@@ -252,6 +253,20 @@ class TestOutputFiles:
         assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
                      "--output", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
+    def test_failed_chunks_remove_every_staged_file(self, tmp_path, error):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_bytes(b"previous bytes\n")
+
+        def failing():
+            yield b"part of a document"
+            raise error("while laying out")
+
+        with pytest.raises(error, match="while laying out"):
+            _write_outputs([(str(first), [b"new bytes\n"]), (str(second), failing())])
+        assert first.read_bytes() == b"previous bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
     def test_select_into_missing_dir(self, capsys, tmp_path):
         assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
@@ -703,6 +718,40 @@ class TestClosedStdout:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: cannot write")
+
+    def test_a_failed_write_leaks_no_descriptor(self, monkeypatch):
+        class Unwritable:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        read_end, write_end = os.pipe()
+        os_open, opened = os.open, []
+
+        def recorded_open(*args, **kwargs):
+            opened.append(os_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sys, "stdout", Unwritable(write_end))
+        monkeypatch.setattr(os, "open", recorded_open)
+        try:
+            with pytest.raises(kq.KgsqueezeError, match="cannot write <stdout>"):
+                _write_stdout([b"{}\n"])
+        finally:
+            monkeypatch.undo()
+            os.close(read_end)
+            os.close(write_end)
+        assert len(opened) == 1
+        with pytest.raises(OSError):  # the devnull descriptor is closed
+            os.fstat(opened[0])
 
 
 class TestInstalledEntryPoint:
