@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import stat
 import sys
@@ -90,6 +91,7 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kgsqueeze", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

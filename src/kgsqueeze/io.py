@@ -9,10 +9,11 @@ plotting tool can consume them and golden files diff cleanly.
 
 Parsers map every malformed input to a structured error; they never let
 a raw decoding exception escape.  Emitters are deterministic: equal
-inputs give identical bytes.  A selection document is also laid out in
-bounded pieces, a batch of entries at a time, which ``select`` writes
-into its staged file or to stdout as they come, so its extra memory
-does not grow with the document.
+inputs give identical bytes, and every JSON document is exactly
+``json.dumps(document, indent=2, ensure_ascii=False) + "\n"`` in UTF-8.
+A selection document comes in chunks of a batch of entries each, which
+``select`` writes into its staged file or to stdout as they come, so its
+extra memory does not grow with the document.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ def _document(data: bytes | str, where: str) -> dict:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
     if _SURROGATE_ESCAPE.search(data):  # rare, so the strings are checked only then
         try:
-            # Not _json_bytes: without an indent the C encoder runs, which
-            # nests no deeper than json.loads just did.
+            # Only the strings matter here, so no indent: the C encoder then
+            # runs and nests as deep as json.loads just did, where the
+            # indent=2 layout of _json_bytes would recurse in Python.
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedDocumentError(
@@ -121,73 +123,8 @@ def _document(data: bytes | str, where: str) -> dict:
 
 
 def _json_bytes(document: object) -> bytes:
-    """The one JSON layout of every document: two-space indent, UTF-8.
-
-    The bytes are exactly ``json.dumps(document, indent=2,
-    ensure_ascii=False) + "\n"``, laid out by ``_layout``.
-    """
-    if isinstance(document, _CONTAINERS):
-        text = _layout([document], "")[0]
-    else:
-        text = json.dumps(document, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _layout(values: list, pad: str) -> list[str]:
-    """Each of the containers ``values`` as ``json.dumps(indent=2)`` lays
-    it out at indent ``pad``.
-
-    Python's ``json`` runs its C encoder only without an indent.  So all
-    of ``values`` go to it in one call, each made shallow (a container
-    item becomes null), with the item separator ",\n" + the items'
-    indent.  The containers they hold are laid out the same way, one call
-    per nesting level, and put in place of their nulls.  The encoder
-    escapes control characters inside strings, so a newline appears only
-    in a separator; and as a shallow container holds only scalars, a
-    separator followed by an opening bracket can only part two of
-    ``values``.
-    """
-    if not values:
-        return []
-    inner = pad + "  "
-    separator = ",\n" + inner
-    shallow = []
-    held = []  # the container items of values, in order
-    found = []  # for each value, the indices of its container items
-    for value in values:
-        items = value.values() if isinstance(value, dict) else value
-        indices = []
-        if not _SCALARS.issuperset(map(type, items)):
-            kept = []
-            for i, item in enumerate(items):
-                if isinstance(item, _CONTAINERS):
-                    indices.append(i)
-                    held.append(item)
-                    item = None
-                kept.append(item)
-            value = dict(zip(value, kept)) if isinstance(value, dict) else kept
-        shallow.append(value)
-        found.append(indices)
-    encoder = json.JSONEncoder(ensure_ascii=False, separators=(separator, ": "))
-    texts = re.split(re.escape(separator) + r"(?=[\[{])", encoder.encode(shallow)[1:-1])
-    laid_out = iter(_layout(held, inner))
-    out = []
-    for text, indices in zip(texts, found):
-        if len(text) == 2:  # an empty container
-            out.append(text)
-            continue
-        body = text[1:-1]
-        if indices:
-            items = body.split(separator)
-            for i in indices:
-                items[i] = items[i][:-4] + next(laid_out)  # the item ends in null
-            body = separator.join(items)
-        out.append(f"{text[0]}\n{inner}{body}\n{pad}{text[-1]}")
-    return out
+    """The one JSON layout of every document: two-space indent, UTF-8."""
+    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _field(obj: dict, key: str, where: str) -> object:
@@ -321,30 +258,39 @@ def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
     }
 
 
-#: Entries of ``selected`` laid out and encoded per chunk of a selection.
+#: Entries of ``selected`` encoded per chunk of a selection.
 _SELECTION_BATCH = 128
+
+#: Encodes a batch of entries in one call to the C encoder, which runs
+#: only without an indent; each field goes on its own line, indented as
+#: the indent=2 layout indents it.
+_ENTRIES = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
 
 
 def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Iterator[bytes]:
     """The bytes of ``_json_bytes(_selection_fields(result, graph))``, in
     chunks of ``_SELECTION_BATCH`` entries, so only one batch is held.
 
-    The header is laid out once, with an empty ``selected``, so its text
-    ends in ``[]`` and the closing brace; the batches, each laid out at the
-    entries' indent, go between those brackets.
+    The header is laid out with an empty ``selected``, whose ``[]`` the
+    batches replace.  ``_ENTRIES`` encodes a batch, and one replace puts
+    each boundary between two entries, ``},`` + separator + ``{``, on the
+    lines the indent=2 layout gives it.  That is sound on two conditions:
+    the encoder escapes every newline inside a string, so a newline is
+    always part of a separator; and an entry holds only scalars, so a
+    ``}`` before a separator always closes an entry.
     """
-    head = _layout([_selection_header(result) | {"selected": []}], "")[0]
+    head = _json_bytes(_selection_header(result) | {"selected": []})
     selected = result.selected
     if not selected:
-        yield (head + "\n").encode("utf-8")
+        yield head
         return
-    opening = head[:-len("[]\n}")] + "[\n    "
+    opening = head[:-len(b"[]\n}\n")] + b"[\n    {\n      "
     for start in range(0, len(selected), _SELECTION_BATCH):
         batch = selected[start:start + _SELECTION_BATCH]
-        entries = _layout([_selection_entry(graph, i) for i in batch], "    ")
-        yield (opening + ",\n    ".join(entries)).encode("utf-8")
-        opening = ",\n    "
-    yield b"\n  ]\n}\n"
+        text = _ENTRIES.encode([_selection_entry(graph, i) for i in batch])[2:-2]
+        yield opening + text.replace("},\n      {", "\n    },\n    {\n      ").encode("utf-8")
+        opening = b"\n    },\n    {\n      "
+    yield b"\n    }\n  ]\n}\n"
 
 
 def emit_selection(result: SelectionResult, graph: ProbabilityGraph) -> bytes:

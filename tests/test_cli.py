@@ -139,6 +139,30 @@ class TestExitCodes:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_calls_leave_later_calls_unchanged(self, capsys, tmp_path):
+        # One parser serves every call in a process; a failed parse or
+        # command, with flags off their defaults, must leave nothing in it.
+        selection, table = tmp_path / "sel.json", tmp_path / "s.csv"
+
+        def outputs():
+            capsys.readouterr()
+            assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                         "--output", str(selection)]) == 0
+            assert main(["sweep", "--input", BRUCE, "--seed", "1", "--runs", "2",
+                         "--output", str(table)]) == 0
+            assert main(["metrics", "--input", BRUCE,
+                         "--selection", str(selection)]) == 0
+            return selection.read_bytes(), table.read_bytes(), capsys.readouterr()
+
+        before = outputs()
+        assert main(["sweep", "--input", BRUCE, "--k-from", "0.3", "--depth", "0",
+                     "--phi", "0.9", "--k-step", "0", "--output", str(table)]) == 1
+        assert main(["select", "--input", "/does/not/exist.json", "--k", "0.9",
+                     "--depth", "0", "--strategy", "random", "--seed", "9"]) == 2
+        assert main(["metrics", "--input", BRUCE, "--selection", str(table),
+                     "--case-insensitive", "--phi", "0.2"]) == 2
+        assert outputs() == before
+
 
 class TestOutputFiles:
     """A failed command leaves every output path as it was."""
