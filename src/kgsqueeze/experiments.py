@@ -33,7 +33,8 @@ def ratio_grid(k_from: float, k_to: float, k_step: float) -> list[float]:
 
     The point count is decided by index arithmetic, not by accumulating
     floats, so 0.1 .. 1.0 by 0.1 is exactly ten points.  Grids of more
-    than ``MAX_GRID_POINTS`` points raise ValueError before any is built.
+    than ``MAX_GRID_POINTS`` points raise ValueError before any is built,
+    and so does a ``k_step`` too fine for floats to tell two points apart.
     """
     if not 0.0 < k_from <= k_to <= 1.0:
         raise ValueError("need 0 < k_from <= k_to <= 1")
@@ -44,8 +45,10 @@ def ratio_grid(k_from: float, k_to: float, k_step: float) -> list[float]:
         raise ValueError(
             f"k_step {k_step!r} gives more than {MAX_GRID_POINTS} grid points"
         )
-    points = floor(span) + 1
-    return [min(k_from + i * k_step, k_to) for i in range(points)]
+    grid = [min(k_from + i * k_step, k_to) for i in range(floor(span) + 1)]
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"k_step {k_step!r} gives equal grid points")
+    return grid
 
 
 def run_sweep(
@@ -67,12 +70,14 @@ def run_sweep(
     deterministic evaluation takes a prefix of its strategy's ordering
     and scores in one pass, and none of these caches grows with the grid.
 
-    Returns rows sorted by (strategy, K) and the individual
-    random-baseline run records sorted by (K, run index).  ``runs`` must
-    be an int of at least 1 and ``seed`` one of at least 0 (a bool is
-    neither); anything else raises ValueError naming the parameter
-    before any evaluation.  A ``phi`` that ``similarity`` would refuse
-    raises its InvalidPhiError at the same point.
+    Returns rows in (strategy, K) order and the individual
+    random-baseline run records in (K, run index) order: strategies run
+    in name order, and each walks the grid, whose points are distinct
+    and ascending.  ``runs`` must be an int of at least 1 and ``seed``
+    one of at least 0 (a bool is neither); anything else raises
+    ValueError naming the parameter before any evaluation.  A ``phi``
+    that ``similarity`` would refuse raises its InvalidPhiError at the
+    same point.
     """
     if not _is_int(runs):
         raise ValueError(f"runs must be an int, got {runs!r}")
@@ -83,11 +88,12 @@ def run_sweep(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _check_phi(phi)
+    grid = ratio_grid(k_from, k_to, k_step)
     rows = []
     records = []
-    for grid_index, ratio in enumerate(ratio_grid(k_from, k_to, k_step)):
-        for strategy in STRATEGIES:
-            seeded = strategy == "random"
+    for strategy in sorted(STRATEGIES):
+        seeded = strategy == "random"
+        for grid_index, ratio in enumerate(grid):
             figures = []
             for run_index in range(runs if seeded else 1):
                 run_seed = derive_seed(seed, grid_index, run_index) if seeded else None
@@ -110,6 +116,4 @@ def run_sweep(
                     result.quota, result.effective_depth, len(figures),
                 )
             )
-    rows.sort(key=lambda r: (r.strategy, r.K))
-    records.sort(key=lambda r: (r.K, r.run_index))
     return rows, records

@@ -13,7 +13,9 @@ inputs give identical bytes, and every JSON document is exactly
 ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"`` in UTF-8.
 A selection document comes in chunks of a batch of entries each, which
 ``select`` writes into its staged file or to stdout as they come, so its
-extra memory does not grow with the document.
+extra memory does not grow with the document.  Checked against a graph,
+it is compared with the replay of its header one entry at a time, so the
+check holds one replayed entry, never a second copy of the document.
 """
 
 from __future__ import annotations
@@ -251,13 +253,6 @@ def _selection_entry(graph: ProbabilityGraph, i: int) -> dict:
     }
 
 
-def _selection_fields(result: SelectionResult, graph: ProbabilityGraph) -> dict:
-    """The selection document as a dict, as the ``metrics`` replay compares it."""
-    return _selection_header(result) | {
-        "selected": [_selection_entry(graph, i) for i in result.selected]
-    }
-
-
 #: Entries of ``selected`` encoded per chunk of a selection.
 _SELECTION_BATCH = 128
 
@@ -268,8 +263,8 @@ _ENTRIES = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
 
 
 def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Iterator[bytes]:
-    """The bytes of ``_json_bytes(_selection_fields(result, graph))``, in
-    chunks of ``_SELECTION_BATCH`` entries, so only one batch is held.
+    """The selection document's ``_json_bytes`` layout, in chunks of
+    ``_SELECTION_BATCH`` entries, so only one batch is held.
 
     The header is laid out with an empty ``selected``, whose ``[]`` the
     batches replace.  ``_ENTRIES`` encodes a batch, and one replace puts
@@ -361,35 +356,39 @@ def parse_selection_document(
 def _validate_against_graph(
     doc: dict, result: SelectionResult, config: SelectionConfig, graph: ProbabilityGraph
 ) -> None:
+    """Raise unless ``doc`` is what replaying its config selects.
+
+    The header is checked first, then ``selected`` entry by entry, each
+    against its replayed entry; only one replayed entry is held at a time.
+    """
     total = len(graph.heads)
     for i in result.selected:
         if not 0 <= i < total:
             raise SelectionMismatchError(
                 f"selected index {i} out of range for a graph of {total} quadruples"
             )
-    expected = _selection_fields(select(graph, config), graph)
-    # Parsing rejects a bool where a number belongs, so == cannot take True for 1.0.
-    if doc != expected:
-        _match("", doc, expected)
+    replay = select(graph, config)
+    _match("", doc, _selection_header(replay))
+    for n, (given, i) in enumerate(zip(doc["selected"], replay.selected)):
+        expected = _selection_entry(graph, i)
+        # Parsing rejects a bool where a number belongs, so == cannot take True for 1.0.
+        if given != expected:
+            _match(f"selected[{n}] ", given, expected)
 
 
-def _match(where: str, given: object, expected: object) -> None:
-    """Raise unless a document value agrees with the replayed one."""
-    if isinstance(expected, dict):
-        for key, value in expected.items():
-            if key in given:
-                _match(f"{where}{key}", given[key], value)
-    elif isinstance(expected, list):
-        for n, (item, entry) in enumerate(zip(given, expected)):
-            _match(f"{where}[{n}] ", item, entry)
-    elif not (
-        isclose(given, expected, rel_tol=1e-9, abs_tol=1e-9)
-        if isinstance(expected, float)
-        else type(given) is type(expected) and given == expected
-    ):
-        raise SelectionMismatchError(
-            f"{where} {given!r} does not match the replayed selection ({expected!r})"
-        )
+def _match(where: str, given: dict, expected: dict) -> None:
+    """Raise unless each field ``given`` has agrees with the replayed one:
+    reals within 1e-9, the rest of the same type and equal."""
+    for key, value in expected.items():
+        item = given.get(key, value)  # a field the document lacks passes
+        if not (
+            isclose(item, value, rel_tol=1e-9, abs_tol=1e-9)
+            if isinstance(value, float)
+            else type(item) is type(value) and item == value
+        ):
+            raise SelectionMismatchError(
+                f"{where}{key} {item!r} does not match the replayed selection ({value!r})"
+            )
 
 
 def _figure(value: float) -> str:

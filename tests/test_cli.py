@@ -121,6 +121,16 @@ class TestExitCodes:
         assert "grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeating_grid_is_usage(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        # the grid repeats a point; it is refused before the (missing)
+        # input is read, and nothing is written
+        assert main(["sweep", "--input", str(tmp_path / "missing.json"),
+                     "--k-from", "0.5", "--k-to", "0.5000000000000002",
+                     "--k-step", "6e-17", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: k_step 6e-17 gives equal grid points\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["0", "-0.1", "inf"])
     def test_k_step_must_be_positive_and_finite(self, capsys, tmp_path, step):
         out = tmp_path / "t.csv"

@@ -48,6 +48,15 @@ class TestRatioGrid:
         with pytest.raises(ValueError, match="grid points"):
             kq.ratio_grid(1e-4, 1.0, 9.999e-5)  # cap + 1 points
 
+    def test_a_step_too_fine_to_tell_points_apart_is_refused(self):
+        # 0.5 + 1 * 6e-17 and 0.5 + 2 * 6e-17 round to the same float, so
+        # a sweep over this grid would write two rows for one ratio.
+        with pytest.raises(ValueError, match=r"^k_step 6e-17 gives equal grid points$"):
+            kq.ratio_grid(0.5, 0.5000000000000002, 6e-17)
+        assert kq.ratio_grid(0.5, 0.5000000000000002, 1e-16) == [
+            0.5, 0.5000000000000001, 0.5000000000000002
+        ]
+
 
 class TestRunSweep:
     def test_row_count_is_grid_times_strategies(self, hangzhou):
@@ -58,6 +67,11 @@ class TestRunSweep:
         rows, _ = kq.run_sweep(hangzhou, runs=2, seed=1)
         keys = [(r.strategy, r.K) for r in rows]
         assert keys == sorted(keys)
+
+    def test_records_in_ratio_then_run_order(self, hangzhou):
+        _, records = kq.run_sweep(hangzhou, runs=3, seed=1)
+        keys = [(r.K, r.run_index) for r in records]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys) == 10 * 3
 
     def test_same_seed_same_bytes(self, hangzhou):
         first = kq.emit_sweep_table(kq.run_sweep(hangzhou, runs=5, seed=9)[0])

@@ -4,7 +4,10 @@
 ``_SELECTION_BATCH`` entries at its indent; ``select`` writes those chunks
 into the staged file or to stdout.  The bytes must stay exactly the
 stdlib's ``indent=2`` layout whatever H is, and the write path's memory
-must not follow H.
+must not follow H.  With a graph, a selection document is checked against
+its replay one entry at a time: the check's memory must not follow H
+either, and each fault keeps its class, its message and its place in the
+order faults are reported in.
 """
 
 import contextlib
@@ -21,7 +24,12 @@ from hypothesis import strategies as st
 
 import kgsqueeze as kq
 from kgsqueeze.cli import _write_outputs, main
-from kgsqueeze.io import _SELECTION_BATCH, _selection_chunks, _selection_fields
+from kgsqueeze.io import (
+    _SELECTION_BATCH,
+    _selection_chunks,
+    _selection_entry,
+    _selection_header,
+)
 
 B = _SELECTION_BATCH
 
@@ -131,7 +139,9 @@ def test_layout_lookalike_strings_keep_the_stdlib_layout(quota, data):
     graph = kq.parse_graph_document(document)
     result = kq.select(graph, kq.SelectionConfig(1.0, 2))
     assert result.quota == quota
-    fields = _selection_fields(result, graph)
+    fields = _selection_header(result) | {
+        "selected": [_selection_entry(graph, i) for i in result.selected]
+    }
     expected = (json.dumps(fields, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
     assert kq.emit_selection(result, graph) == expected
 
@@ -167,3 +177,164 @@ def test_writing_a_selection_does_not_follow_its_size(tmp_path):
             tracemalloc.stop()
         assert target.read_bytes() == kq.emit_selection(result, graph)
     assert peaks[1] - peaks[0] <= SELECTION_WRITE_GROWTH
+
+
+#: Allowed growth, from H = 2,000 to H = 20,000, of what the replay adds to
+#: the tracemalloc peak of parsing a selection (with the graph over without
+#: it).  Measured on Python 3.11: the addition stays 0.00 MB at both sizes,
+#: since one replayed entry at a time fits under the decoding peak.
+#: Comparing against a replayed copy of the whole document grew it by
+#: 2.19 MB here (0.24 MB at H = 2,000, 2.44 MB at H = 20,000).
+SELECTION_REPLAY_GROWTH = 200_000
+
+
+def test_checking_a_selection_does_not_follow_its_size():
+    graph = kq.parse_graph_document(chain_document(20_000))
+    added = []
+    for ratio in (0.1, 1.0):
+        # The first select and emit warm the graph's caches, which the
+        # replay then shares.
+        result = kq.select(graph, kq.SelectionConfig(ratio, 2))
+        assert result.quota == round(20_000 * ratio)
+        blob = kq.emit_selection(result, graph)
+        peaks = []
+        for against in (None, graph):
+            tracemalloc.start()
+            try:
+                parsed = kq.parse_selection_document(blob, against)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert parsed == result
+        added.append(peaks[1] - peaks[0])
+    assert added[1] - added[0] <= SELECTION_REPLAY_GROWTH
+
+
+@pytest.fixture(scope="module", params=["bruce", "chain"])
+def replayable(request):
+    """A graph and a valid selection document of it, as a dict: ``bruce``
+    at K = 0.5, and a chain of long-chain's 3,600 candidates at K = 0.9."""
+    if request.param == "bruce":
+        graph, ratio = request.getfixturevalue("bruce"), 0.5
+    else:
+        graph, ratio = kq.parse_graph_document(chain_document(3_600)), 0.9
+    result = kq.select(graph, kq.SelectionConfig(ratio, 2))
+    assert result.relaxation_steps > 0  # so a deeper effective_depth is a mismatch
+    return graph, json.loads(kq.emit_selection(result, graph))
+
+
+#: A replayed field that disagrees with the document.
+MISMATCH = "{where}{key} {bad!r} does not match the replayed selection ({value!r})"
+SCHEMA, REPLAY = kq.SchemaViolationError, kq.SelectionMismatchError
+
+#: (field, its bad value made from the good one, the error class, the
+#: message).  A message is formatted with the field's ``key``, its good
+#: ``value``, the ``bad`` one, ``where`` the field sits and the document's
+#: quota ``H``.  Each field is broken by value and by type.
+HEADER_FAULTS = [
+    ("schema_version", lambda v: 2, SCHEMA, "selection: unsupported schema_version 2"),
+    ("schema_version", lambda v: "1", SCHEMA,
+     "selection: field 'schema_version' must be int, got str"),
+    ("strategy", lambda v: "nope", SCHEMA,
+     f"selection: unknown strategy 'nope'; expected one of {kq.STRATEGIES}"),
+    ("strategy", lambda v: 1, SCHEMA,
+     f"selection: unknown strategy 1; expected one of {kq.STRATEGIES}"),
+    ("seed", lambda v: -1, SCHEMA, "selection: seed must be non-negative, got -1"),
+    ("seed", lambda v: "5", SCHEMA, "selection: seed must be an int, got '5'"),
+    ("K", lambda v: 1, REPLAY, "H {H} does not match the replayed selection ({G})"),
+    ("K", str, SCHEMA, "selection: field 'K' must be a number"),
+    ("H", lambda v: v + 1, SCHEMA,
+     "selection: selected entries must be distinct and H of them"),
+    ("H", str, SCHEMA, "selection: field 'H' must be int, got str"),
+    ("effective_depth", lambda v: v + 1, REPLAY, MISMATCH),
+    ("effective_depth", float, SCHEMA,
+     "selection: field 'effective_depth' must be int, got float"),
+    ("relaxation_steps", lambda v: -1, SCHEMA, "selection: relaxation_steps out of range"),
+    ("relaxation_steps", str, SCHEMA,
+     "selection: field 'relaxation_steps' must be int, got str"),
+    ("disconnected_fallback", lambda v: not v, REPLAY, MISMATCH),
+    ("disconnected_fallback", int, SCHEMA,
+     "selection: disconnected_fallback must be a bool"),
+    ("SU", lambda v: v + 1, REPLAY, MISMATCH),
+    ("SU", str, SCHEMA, "selection: field 'SU' must be a number"),
+]
+
+#: As ``HEADER_FAULTS`` for the fields of one ``selected`` entry; ``spare``
+#: is an in-range index that no entry holds.
+ENTRY_FAULTS = [
+    ("index", lambda v, spare: spare, REPLAY, MISMATCH),
+    ("index", lambda v, spare: float(v), SCHEMA,
+     "selected[{n}]: field 'index' must be int, got float"),
+    ("head", lambda v, spare: v + "x", REPLAY, MISMATCH),
+    ("head", lambda v, spare: 1, REPLAY, MISMATCH),
+    ("relation", lambda v, spare: v.upper(), REPLAY, MISMATCH),
+    ("relation", lambda v, spare: None, REPLAY, MISMATCH),
+    ("tail", lambda v, spare: "", REPLAY, MISMATCH),
+    ("tail", lambda v, spare: [v], REPLAY, MISMATCH),
+    ("top_probability", lambda v, spare: v / 2, REPLAY, MISMATCH),
+    ("top_probability", lambda v, spare: str(v), SCHEMA,
+     "selected[{n}]: field 'top_probability' must be a number"),
+    ("entropy", lambda v, spare: v + 1e-6, REPLAY, MISMATCH),
+    ("entropy", lambda v, spare: [v], SCHEMA,
+     "selected[{n}]: field 'entropy' must be a number"),
+]
+
+
+def assert_refused(graph, doc, error, message):
+    with pytest.raises(kq.KgsqueezeError) as raised:
+        kq.parse_selection_document(json.dumps(doc), graph)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("key, corrupt, error, message", HEADER_FAULTS)
+def test_a_header_fault_keeps_its_message(replayable, key, corrupt, error, message):
+    graph, doc = replayable
+    value = doc[key]
+    bad = corrupt(value)
+    message = message.format(where="", key=key, bad=bad, value=value,
+                             H=doc["H"], G=len(graph.heads))
+    assert_refused(graph, doc | {key: bad}, error, message)
+
+
+@pytest.mark.parametrize("key, corrupt, error, message", ENTRY_FAULTS)
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+def test_an_entry_fault_keeps_its_message(replayable, place, key, corrupt, error, message):
+    graph, doc = replayable
+    entries = doc["selected"]
+    n = {"first": 0, "middle": len(entries) // 2, "last": len(entries) - 1}[place]
+    spare = min(set(range(len(graph.heads))) - {entry["index"] for entry in entries})
+    value = entries[n][key]
+    bad = corrupt(value, spare)
+    message = message.format(where=f"selected[{n}] ", n=n, key=key, bad=bad, value=value)
+    selected = list(entries)
+    selected[n] = entries[n] | {key: bad}
+    assert_refused(graph, doc | {"selected": selected}, error, message)
+
+
+def test_the_first_fault_in_document_order_is_reported(replayable):
+    """Header fields first, then entries in order, then each entry's
+    fields in ``_selection_entry`` order."""
+    graph, doc = replayable
+    last, middle = len(doc["selected"]) - 1, len(doc["selected"]) // 2
+
+    def broken(header, entries):
+        selected = [dict(entry) for entry in doc["selected"]]
+        for n, key, bad in entries:
+            selected[n][key] = bad
+        return doc | header | {"selected": selected}
+
+    su = doc["SU"] + 1
+    assert_refused(graph, broken({"SU": su}, [(last, "head", "Nobody")]), REPLAY,
+                   MISMATCH.format(where="", key="SU", bad=su, value=doc["SU"]))
+    depth = doc["effective_depth"] + 1
+    assert_refused(graph, broken({"effective_depth": depth, "SU": su}, []), REPLAY,
+                   MISMATCH.format(where="", key="effective_depth", bad=depth,
+                                   value=doc["effective_depth"]))
+    head = doc["selected"][middle]["head"]
+    assert_refused(graph, broken({}, [(last, "head", "Nobody"), (middle, "head", "Nobody")]),
+                   REPLAY, MISMATCH.format(where=f"selected[{middle}] ", key="head",
+                                           bad="Nobody", value=head))
+    assert_refused(graph, broken({}, [(middle, "entropy", 9.0), (middle, "head", "Nobody")]),
+                   REPLAY, MISMATCH.format(where=f"selected[{middle}] ", key="head",
+                                           bad="Nobody", value=head))
