@@ -16,6 +16,12 @@ its size follows its document, not candidates times the relation set.
 ``RelationDistribution``, only when a caller reads one; the pipeline
 reads the columns.
 
+``build_graph`` checks the candidates a whole column at a time (exact
+types, known ids, no self-loop, known labels, non-zero confidences in
+[0, 1], sums that need no renormalizing).  Only when a check fails does
+it walk them one by one; that walk alone names the first fault or
+renormalizes a sum.  One builder makes the columns either way.
+
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
 share across threads.  A graph object keeps private caches of facts
@@ -32,12 +38,12 @@ graph alone, so a lost race only computes an entry twice.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence, Sized
+from collections.abc import Collection, Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import fsum, log2
-from operator import itemgetter
+from operator import eq, itemgetter, mul
 
 from .errors import (
     BadDistributionError,
@@ -54,6 +60,9 @@ SUM_TOLERANCE_BAND = (0.9, 1.1)
 
 # |sum - 1| above this triggers a normalization warning on the graph.
 SUM_WARN_TOLERANCE = 1e-6
+
+# |sum - 1| at most this keeps the confidences as given, unrenormalized.
+_SUM_KEPT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,27 +217,28 @@ def relation_entropy(dist: RelationDistribution) -> float:
     one-hot distribution scores exactly 0.0 and a uniform one scores
     log2(len(labels)).
     """
-    return _entropy(dist.confidences)
+    return _entropy([p for p in dist.confidences if p > 0.0])
 
 
-def _entropy(probabilities) -> float:
-    # fsum is correctly rounded, so neither the order nor zeros move a bit.
-    h = -fsum([p * log2(p) for p in probabilities if p > 0.0])
+def _entropy(probabilities: Collection[float]) -> float:
+    """Shannon entropy, in bits, of positive probabilities."""
+    # fsum is correctly rounded, so the order of the products moves no bit.
+    h = -fsum(map(mul, probabilities, map(log2, probabilities)))
     return h + 0.0  # fold -0.0 to 0.0
 
 
 def _probabilities(
     index: dict[str, int], confidences: Mapping[str, float], i: int
-) -> tuple[tuple[tuple[int, float], ...], str | None]:
+) -> tuple[dict[str, float], str | None]:
     """Validate candidate ``i``'s confidence map and normalize it to sum 1.
 
     ``index`` maps each relation label to its position.  The rules run in
     this order, and the first broken one raises: every unknown label at
     once, then each confidence in map order (its type, then its range),
-    then the sum.  Returns the non-zero (label index, probability) pairs
-    in relation-set order and an optional warning when the raw sum
-    drifted from 1 by more than SUM_WARN_TOLERANCE.  Work scales with the
-    labels the map gives, not with the relation set.
+    then the sum.  Returns a ``dict`` of each label with a non-zero
+    probability, as a ``float``, in map order, and an optional warning
+    when the raw sum drifted from 1 by more than SUM_WARN_TOLERANCE.
+    Work scales with the labels the map gives, not with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
@@ -270,16 +280,15 @@ def _probabilities(
     warning = None
     if drift > SUM_WARN_TOLERANCE:
         warning = f"candidate {i}: confidences sum to {total:.6g}, renormalized"
-    # Within 1e-12 of 1, don't renormalize (x / 1.0 is x), so re-ingesting
-    # serialized output reproduces confidences bit for bit.
-    divisor = total if drift > 1e-12 else 1.0
-    pairs = [
-        (index[label], p)
+    # Within _SUM_KEPT of 1, don't renormalize (x / 1.0 is x), so
+    # re-ingesting serialized output reproduces confidences bit for bit.
+    divisor = total if drift > _SUM_KEPT else 1.0
+    clean = {
+        label: p
         for label, value in zip(confidences, raw)
         if (p := value / divisor)  # explicit zeros are dropped
-    ]
-    pairs.sort()  # label indices are distinct, so probabilities are never compared
-    return tuple(pairs), warning
+    }
+    return clean, warning
 
 
 def _require_str(value: object, field: str) -> None:
@@ -371,6 +380,41 @@ def _triple(candidate: object, i: int) -> tuple:
     )
 
 
+def _clean_columns(
+    candidates: tuple, ids: set[str], index: dict[str, int]
+) -> tuple[tuple, tuple, tuple] | None:
+    """The head, tail and confidence-map columns of ``candidates`` when
+    every column check ``build_graph`` lists holds, so the walk would
+    raise nothing, warn of nothing and change no map; else None.
+
+    Each check runs only once those before it make it safe: an empty
+    value list fails the type check before ``min`` could raise on it, and
+    a NaN after a valid value, which passes ``min`` and ``max``, fails the
+    sum check.
+    """
+    if {*map(type, candidates)} != {tuple} or {*map(len, candidates)} != {3}:
+        return None
+    heads, tails, maps = zip(*candidates)
+    if not (
+        {*map(type, heads), *map(type, tails)} == {str}
+        and ids.issuperset(heads)
+        and ids.issuperset(tails)
+        and not any(map(eq, heads, tails))
+        and {*map(type, maps)} == {dict}
+        and index.keys() >= {*chain.from_iterable(maps)}
+    ):
+        return None
+    values = [*chain.from_iterable(map(dict.values, maps))]
+    if not (
+        {*map(type, values)} == {float}
+        and 0.0 < min(values)
+        and max(values) <= 1.0
+        and all(abs(s - 1.0) <= _SUM_KEPT for s in map(fsum, map(dict.values, maps)))
+    ):
+        return None
+    return heads, tails, maps
+
+
 def build_graph(
     text: str,
     relation_set: Sequence[str],
@@ -396,6 +440,16 @@ def build_graph(
     its head (type, then known), its tail (type, then known), head equal
     to tail, then its confidences: unknown labels first, then each
     confidence in map order (type, then range), then the sum.
+
+    The candidates are first checked a whole column at a time, each check
+    one C-level call: every candidate an exact 3-``tuple``, every head and
+    tail an exact ``str`` among the entity ids, no head equal to its tail,
+    every map an exact ``dict`` of known labels, every confidence an
+    exact, non-zero ``float`` in [0, 1] and every map's sum within
+    ``_SUM_KEPT`` of 1.  Only when a check fails are the candidates
+    walked one by one from the first, by the rules above; the walk alone
+    names a fault or renormalizes a sum, and it hands on clean ``float``
+    maps.  Either way one builder makes the columns from the maps.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -406,32 +460,37 @@ def build_graph(
         raise EmptyGraphError("no quadruple candidates")
 
     index = {label: i for i, label in enumerate(labels)}
-    heads, tails, pairs, warnings = [], [], [], []
-    for i, candidate in enumerate(candidates):
-        if type(candidate) is not tuple or len(candidate) != 3:
-            candidate = _triple(candidate, i)
-        head, tail, confidences = candidate
-        if not isinstance(head, str):
-            raise SchemaViolationError(
-                f"candidate {i}: head must be a str, got {type(head).__name__}"
-            )
-        if head not in ids:
-            raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
-        if not isinstance(tail, str):
-            raise SchemaViolationError(
-                f"candidate {i}: tail must be a str, got {type(tail).__name__}"
-            )
-        if tail not in ids:
-            raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
-        if head == tail:
-            raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
-        given, warning = _probabilities(index, confidences, i)
-        if warning:
-            warnings.append(warning)
-        heads.append(head)
-        tails.append(tail)
-        pairs.append(given)
-
+    warnings = []
+    columns = _clean_columns(candidates, ids, index)
+    if columns is None:  # the walk: each candidate in turn, the first fault raises
+        columns = heads, tails, maps = [], [], []
+        for i, candidate in enumerate(candidates):
+            if type(candidate) is not tuple or len(candidate) != 3:
+                candidate = _triple(candidate, i)
+            head, tail, confidences = candidate
+            if not isinstance(head, str):
+                raise SchemaViolationError(
+                    f"candidate {i}: head must be a str, got {type(head).__name__}"
+                )
+            if head not in ids:
+                raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
+            if not isinstance(tail, str):
+                raise SchemaViolationError(
+                    f"candidate {i}: tail must be a str, got {type(tail).__name__}"
+                )
+            if tail not in ids:
+                raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
+            if head == tail:
+                raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
+            clean, warning = _probabilities(index, confidences, i)
+            if warning:
+                warnings.append(warning)
+            heads.append(head)
+            tails.append(tail)
+            maps.append(clean)
+    heads, tails, maps = columns
+    # A map's labels are distinct, so sorting never compares probabilities.
+    pairs = tuple([tuple(sorted(zip(map(index.__getitem__, m), m.values()))) for m in maps])
     # The first largest pair: ties go to the earliest label.
     tops = [max(given, key=itemgetter(1)) for given in pairs]
     return ProbabilityGraph(
@@ -440,9 +499,9 @@ def build_graph(
         entities=ents,
         heads=tuple(heads),
         tails=tuple(tails),
-        confidences=tuple(pairs),
+        confidences=pairs,
         top_relations=tuple([labels[j] for j, _ in tops]),
         top_probabilities=tuple([p for _, p in tops]),
-        entropies=tuple([_entropy([p for _, p in given]) for given in pairs]),
+        entropies=tuple(map(_entropy, map(dict.values, maps))),
         warnings=tuple(warnings),
     )

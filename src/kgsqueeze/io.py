@@ -13,9 +13,13 @@ inputs give identical bytes, and every JSON document is exactly
 ``json.dumps(document, indent=2, ensure_ascii=False) + "\n"`` in UTF-8.
 A selection document comes in chunks of a batch of entries each, which
 ``select`` writes into its staged file or to stdout as they come, so its
-extra memory does not grow with the document.  Checked against a graph,
-it is compared with the replay of its header one entry at a time, so the
-check holds one replayed entry, never a second copy of the document.
+extra memory does not grow with the document.  Each entry fills one
+``%`` template in that layout, which gives the same bytes because every
+string in it goes through the encoder ``json.dumps`` uses for strings
+and every real is a finite ``float``, whose JSON is its repr.  Checked
+against a graph, a selection is compared with the replay of its header
+one entry at a time, so the check holds one replayed entry, never a
+second copy of the document.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from math import inf, isclose, isfinite
+from operator import itemgetter
 
 from .errors import (
     MalformedDocumentError,
     SchemaViolationError,
     SelectionMismatchError,
 )
-from .graph import Entity, ProbabilityGraph, build_graph
+from .graph import Entity, ProbabilityGraph, _take, build_graph
 from .selection import SelectionConfig, SelectionResult, select
 
 SCHEMA_VERSION = 1
@@ -180,16 +186,19 @@ def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
                e.get("first_token_index"))
         for at, e in _objects(doc, "entities", "document")
     ]
-    candidates = []
-    for i, c in enumerate(_require(doc, "candidates", list, "document")):
-        try:
-            candidates.append((c["head"], c["tail"], c["confidences"]))
-        except (KeyError, TypeError):  # not an object, or a field missing
+    objects = _require(doc, "candidates", list, "document")
+    triple = ("head", "tail", "confidences")
+    try:
+        candidates = list(map(itemgetter(*triple), objects))
+    except (KeyError, TypeError):  # not an object, or a field missing
+        for i, c in enumerate(objects):
             at = f"candidates[{i}]"
             if not isinstance(c, dict):
                 raise SchemaViolationError(f"{at} must be an object") from None
-            missing = next(k for k in ("head", "tail", "confidences") if k not in c)
-            raise SchemaViolationError(f"{at}: missing field {missing!r}") from None
+            for key in triple:
+                if key not in c:
+                    raise SchemaViolationError(f"{at}: missing field {key!r}") from None
+        raise
     return build_graph(text, relation_set, entities, candidates)
 
 
@@ -253,13 +262,15 @@ def _selection_entry(graph: ProbabilityGraph, i: int) -> dict:
     }
 
 
-#: Entries of ``selected`` encoded per chunk of a selection.
+#: Entries of ``selected`` laid out per chunk of a selection.
 _SELECTION_BATCH = 128
 
-#: Encodes a batch of entries in one call to the C encoder, which runs
-#: only without an indent; each field goes on its own line, indented as
-#: the indent=2 layout indents it.
-_ENTRIES = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
+#: One ``selected`` entry in the indent=2 layout: its index, its three
+#: strings already encoded as JSON, and its two reals.
+_ENTRY = (
+    '    {\n      "index": %d,\n      "head": %s,\n      "relation": %s,\n'
+    '      "tail": %s,\n      "top_probability": %r,\n      "entropy": %r\n    }'
+)
 
 
 def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Iterator[bytes]:
@@ -267,25 +278,37 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
     ``_SELECTION_BATCH`` entries, so only one batch is held.
 
     The header is laid out with an empty ``selected``, whose ``[]`` the
-    batches replace.  ``_ENTRIES`` encodes a batch, and one replace puts
-    each boundary between two entries, ``},`` + separator + ``{``, on the
-    lines the indent=2 layout gives it.  That is sound on two conditions:
-    the encoder escapes every newline inside a string, so a newline is
-    always part of a separator; and an entry holds only scalars, so a
-    ``}`` before a separator always closes an entry.
+    batches replace.  Each entry fills the ``_ENTRY`` template, which
+    gives the bytes ``_json_bytes`` gives ``_selection_entry`` on two
+    conditions.  Each string goes through ``encode_basestring``, the
+    string encoder of ``json.dumps(..., ensure_ascii=False)``; it runs
+    once per distinct surface and label of a batch, so what a chunk holds
+    still does not grow with the document.  Each real is a finite
+    ``float``, whose JSON is its repr; ``build_graph`` stores no other.
     """
     head = _json_bytes(_selection_header(result) | {"selected": []})
     selected = result.selected
     if not selected:
         yield head
         return
-    opening = head[:-len(b"[]\n}\n")] + b"[\n    {\n      "
+    heads, tails, relations = graph.heads, graph.tails, graph.top_relations
+    top_probabilities, entropies = graph.top_probabilities, graph.entropies
+    opening = head[:-len(b"[]\n}\n")] + b"[\n"
     for start in range(0, len(selected), _SELECTION_BATCH):
         batch = selected[start:start + _SELECTION_BATCH]
-        text = _ENTRIES.encode([_selection_entry(graph, i) for i in batch])[2:-2]
-        yield opening + text.replace("},\n      {", "\n    },\n    {\n      ").encode("utf-8")
-        opening = b"\n    },\n    {\n      "
-    yield b"\n    }\n  ]\n}\n"
+        ends = {
+            e: encode_basestring(graph.entity(e).surface)
+            for e in {*_take(heads, batch), *_take(tails, batch)}
+        }
+        labels = {r: encode_basestring(r) for r in {*_take(relations, batch)}}
+        text = ",\n".join([
+            _ENTRY % (i, ends[heads[i]], labels[relations[i]], ends[tails[i]],
+                      top_probabilities[i], entropies[i])
+            for i in batch
+        ])
+        yield opening + text.encode("utf-8")
+        opening = b",\n"
+    yield b"\n  ]\n}\n"
 
 
 def emit_selection(result: SelectionResult, graph: ProbabilityGraph) -> bytes:

@@ -89,9 +89,11 @@ def test_an_empty_selection_keeps_the_stdlib_layout():
 
 
 #: Pieces of strings that could pass for layout once encoded: brackets,
-#: an entry boundary, escapes, whitespace, a JSON literal and non-ASCII.
+#: an entry boundary, escapes, whitespace, a JSON literal, non-ASCII, the
+#: line and paragraph separators, DEL, C0 controls and a non-BMP character.
 LOOKALIKES = ("}", "{", "},", "}, {", ", ", '"', "\\", "\t", "\n", "null",
-              "},\n      {", "é", "漢")
+              "},\n      {", "é", "漢", "\u2028", "\u2029", "\x7f", "\x00", "\x1f",
+              "\x08", "\U0001f600")
 
 
 def lookalike_strings():
@@ -152,6 +154,25 @@ def test_layout_lookalike_strings_keep_the_stdlib_layout(quota, data):
         assert captured_stdout(argv + ["--output", str(output)]) == b""
         assert output.read_bytes() == expected
         assert captured_stdout(argv) == expected
+
+
+def test_reals_in_exponent_form_keep_the_stdlib_layout():
+    """Entropies of about 4e-11 and 5e-321 (a subnormal) print in exponent
+    form, next to a one-hot entropy of 0.0."""
+    tiny = 2.0 ** -40
+    graph = kq.build_graph(
+        "a b c", ["r1", "r2"], [kq.Entity(i, i) for i in "abc"],
+        [("a", "b", {"r1": tiny, "r2": 1 - tiny}), ("b", "c", {"r1": 1.0}),
+         ("a", "c", {"r2": 1.0, "r1": 5e-324})],
+    )
+    result = kq.select(graph, kq.SelectionConfig(1.0, 2))
+    assert result.quota == 3
+    fields = _selection_header(result) | {
+        "selected": [_selection_entry(graph, i) for i in result.selected]
+    }
+    expected = (json.dumps(fields, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    assert kq.emit_selection(result, graph) == expected
+    assert list(map(repr, graph.entropies)) == ["3.7691911566879126e-11", "0.0", "5.306e-321"]
 
 
 #: Allowed growth of the write path's tracemalloc peak from H = 2,000 to
