@@ -17,10 +17,11 @@ its size follows its document, not candidates times the relation set.
 reads the columns.
 
 ``build_graph`` checks the candidates a whole column at a time (exact
-types, known ids, no self-loop, known labels, non-zero confidences in
-[0, 1], sums that need no renormalizing).  Only when a check fails does
-it walk them one by one; that walk alone names the first fault or
-renormalizes a sum.  One builder makes the columns either way.
+types, known ids, no self-loop, known labels, confidences in [0, 1]).
+When those checks hold, it walks one by one only the candidates whose
+map holds a zero or needs renormalizing; when one fails, it walks them
+all.  That walk alone names the first fault or renormalizes a sum, and
+one builder makes the columns from the walked and the unwalked maps.
 
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
@@ -380,20 +381,24 @@ def _triple(candidate: object, i: int) -> tuple:
     )
 
 
-def _clean_columns(
+def _column_checked(
     candidates: tuple, ids: set[str], index: dict[str, int]
-) -> tuple[tuple, tuple, tuple] | None:
-    """The head, tail and confidence-map columns of ``candidates`` when
-    every column check ``build_graph`` lists holds, so the walk would
-    raise nothing, warn of nothing and change no map; else None.
+) -> tuple[list, list, list, Sequence[int]]:
+    """The head, tail and confidence-map columns of ``candidates``, and
+    the indices, in order, of those left to the walk (their items are
+    ``None``): every candidate when a whole-column check ``build_graph``
+    lists fails, else those whose map holds a zero or sums to more than
+    ``_SUM_KEPT`` from 1.
 
-    Each check runs only once those before it make it safe: an empty
-    value list fails the type check before ``min`` could raise on it, and
-    a NaN after a valid value, which passes ``min`` and ``max``, fails the
-    sum check.
+    Each check runs only once those before it make it safe: ``min`` gets
+    no empty list, and ``fsum`` only values in [0, 1] or a NaN, which
+    ``min`` and ``max`` pass after a valid value; its sum is NaN, which
+    leaves its candidate to the walk.
     """
+    n = len(candidates)
+    every = [None] * n, [None] * n, [None] * n, range(n)
     if {*map(type, candidates)} != {tuple} or {*map(len, candidates)} != {3}:
-        return None
+        return every
     heads, tails, maps = zip(*candidates)
     if not (
         {*map(type, heads), *map(type, tails)} == {str}
@@ -403,16 +408,20 @@ def _clean_columns(
         and {*map(type, maps)} == {dict}
         and index.keys() >= {*chain.from_iterable(maps)}
     ):
-        return None
+        return every
     values = [*chain.from_iterable(map(dict.values, maps))]
     if not (
-        {*map(type, values)} == {float}
-        and 0.0 < min(values)
+        values
+        and {*map(type, values)} == {float}
+        and 0.0 <= min(values)
         and max(values) <= 1.0
-        and all(abs(s - 1.0) <= _SUM_KEPT for s in map(fsum, map(dict.values, maps)))
     ):
-        return None
-    return heads, tails, maps
+        return every
+    unsettled = [
+        i for i, v in enumerate(map(dict.values, maps))
+        if not abs(fsum(v) - 1.0) <= _SUM_KEPT or 0.0 in v
+    ]
+    return [*heads], [*tails], [*maps], unsettled
 
 
 def build_graph(
@@ -442,14 +451,14 @@ def build_graph(
     confidence in map order (type, then range), then the sum.
 
     The candidates are first checked a whole column at a time, each check
-    one C-level call: every candidate an exact 3-``tuple``, every head and
+    a C-level call: every candidate an exact 3-``tuple``, every head and
     tail an exact ``str`` among the entity ids, no head equal to its tail,
-    every map an exact ``dict`` of known labels, every confidence an
-    exact, non-zero ``float`` in [0, 1] and every map's sum within
-    ``_SUM_KEPT`` of 1.  Only when a check fails are the candidates
-    walked one by one from the first, by the rules above; the walk alone
-    names a fault or renormalizes a sum, and it hands on clean ``float``
-    maps.  Either way one builder makes the columns from the maps.
+    every map an exact ``dict`` of known labels, every confidence an exact
+    ``float`` in [0, 1].  Then the rules above are walked candidate by
+    candidate, in order: for all of them when a check fails, else only for
+    those whose map holds a zero or whose sum is more than ``_SUM_KEPT``
+    from 1.  The walk alone names a fault or renormalizes, and one builder
+    makes every column from the maps.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -460,35 +469,31 @@ def build_graph(
         raise EmptyGraphError("no quadruple candidates")
 
     index = {label: i for i, label in enumerate(labels)}
+    heads, tails, maps, unsettled = _column_checked(candidates, ids, index)
     warnings = []
-    columns = _clean_columns(candidates, ids, index)
-    if columns is None:  # the walk: each candidate in turn, the first fault raises
-        columns = heads, tails, maps = [], [], []
-        for i, candidate in enumerate(candidates):
-            if type(candidate) is not tuple or len(candidate) != 3:
-                candidate = _triple(candidate, i)
-            head, tail, confidences = candidate
-            if not isinstance(head, str):
-                raise SchemaViolationError(
-                    f"candidate {i}: head must be a str, got {type(head).__name__}"
-                )
-            if head not in ids:
-                raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
-            if not isinstance(tail, str):
-                raise SchemaViolationError(
-                    f"candidate {i}: tail must be a str, got {type(tail).__name__}"
-                )
-            if tail not in ids:
-                raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
-            if head == tail:
-                raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
-            clean, warning = _probabilities(index, confidences, i)
-            if warning:
-                warnings.append(warning)
-            heads.append(head)
-            tails.append(tail)
-            maps.append(clean)
-    heads, tails, maps = columns
+    for i in unsettled:  # the walk, in candidate order: the first fault raises
+        candidate = candidates[i]
+        if type(candidate) is not tuple or len(candidate) != 3:
+            candidate = _triple(candidate, i)
+        head, tail, confidences = candidate
+        if not isinstance(head, str):
+            raise SchemaViolationError(
+                f"candidate {i}: head must be a str, got {type(head).__name__}"
+            )
+        if head not in ids:
+            raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
+        if not isinstance(tail, str):
+            raise SchemaViolationError(
+                f"candidate {i}: tail must be a str, got {type(tail).__name__}"
+            )
+        if tail not in ids:
+            raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
+        if head == tail:
+            raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
+        maps[i], warning = _probabilities(index, confidences, i)
+        if warning:
+            warnings.append(warning)
+        heads[i], tails[i] = head, tail
     # A map's labels are distinct, so sorting never compares probabilities.
     pairs = tuple([tuple(sorted(zip(map(index.__getitem__, m), m.values()))) for m in maps])
     # The first largest pair: ties go to the earliest label.

@@ -250,26 +250,31 @@ def _selection_header(result: SelectionResult) -> dict:
     }
 
 
+#: A ``selected`` entry's fields, in layout order.
+_ENTRY_FIELDS = ("index", "head", "relation", "tail", "top_probability", "entropy")
+
+
 def _selection_entry(graph: ProbabilityGraph, i: int) -> dict:
     """The ``selected`` entry of quadruple ``i``."""
-    return {
-        "index": i,
-        "head": graph.entity(graph.heads[i]).surface,
-        "relation": graph.top_relations[i],
-        "tail": graph.entity(graph.tails[i]).surface,
-        "top_probability": graph.top_probabilities[i],
-        "entropy": graph.entropies[i],
-    }
+    return dict(zip(_ENTRY_FIELDS, (
+        i,
+        graph.entity(graph.heads[i]).surface,
+        graph.top_relations[i],
+        graph.entity(graph.tails[i]).surface,
+        graph.top_probabilities[i],
+        graph.entropies[i],
+    )))
 
 
 #: Entries of ``selected`` laid out per chunk of a selection.
 _SELECTION_BATCH = 128
 
-#: One ``selected`` entry in the indent=2 layout: its index, its three
-#: strings already encoded as JSON, and its two reals.
-_ENTRY = (
-    '    {\n      "index": %d,\n      "head": %s,\n      "relation": %s,\n'
-    '      "tail": %s,\n      "top_probability": %r,\n      "entropy": %r\n    }'
+#: One ``selected`` entry in the indent=2 layout, a ``%`` conversion per
+#: field of ``_ENTRY_FIELDS``: the index, three strings already encoded
+#: as JSON and two reals.
+_ENTRY = "    {\n%s\n    }" % ",\n".join(
+    f"      {json.dumps(name)}: %{conversion}"
+    for name, conversion in zip(_ENTRY_FIELDS, "dsssrr", strict=True)
 )
 
 
@@ -284,7 +289,9 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
     string encoder of ``json.dumps(..., ensure_ascii=False)``; it runs
     once per distinct surface and label of a batch, so what a chunk holds
     still does not grow with the document.  Each real is a finite
-    ``float``, whose JSON is its repr; ``build_graph`` stores no other.
+    ``float``, whose JSON is its repr: ``build_graph`` stores no other,
+    and a batch holding any other real raises ``ValueError``, as no JSON
+    parser would read its repr.
     """
     head = _json_bytes(_selection_header(result) | {"selected": []})
     selected = result.selected
@@ -292,19 +299,23 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
         yield head
         return
     heads, tails, relations = graph.heads, graph.tails, graph.top_relations
-    top_probabilities, entropies = graph.top_probabilities, graph.entropies
     opening = head[:-len(b"[]\n}\n")] + b"[\n"
     for start in range(0, len(selected), _SELECTION_BATCH):
         batch = selected[start:start + _SELECTION_BATCH]
+        probabilities = _take(graph.top_probabilities, batch)
+        entropies = _take(graph.entropies, batch)
+        reals = probabilities + entropies
+        if {*map(type, reals)} != {float} or not all(map(isfinite, reals)):
+            bad = next(x for x in reals if type(x) is not float or not isfinite(x))
+            raise ValueError(f"a selected quadruple's real is not a finite float: {bad!r}")
         ends = {
             e: encode_basestring(graph.entity(e).surface)
             for e in {*_take(heads, batch), *_take(tails, batch)}
         }
         labels = {r: encode_basestring(r) for r in {*_take(relations, batch)}}
         text = ",\n".join([
-            _ENTRY % (i, ends[heads[i]], labels[relations[i]], ends[tails[i]],
-                      top_probabilities[i], entropies[i])
-            for i in batch
+            _ENTRY % (i, ends[heads[i]], labels[relations[i]], ends[tails[i]], p, h)
+            for i, p, h in zip(batch, probabilities, entropies)
         ])
         yield opening + text.encode("utf-8")
         opening = b",\n"

@@ -1,8 +1,9 @@
 """``build_graph`` against the candidate-by-candidate walk it runs on.
 
-``build_graph`` first checks whole columns of the candidates at once and
-builds the graph's columns straight from the confidence maps; only when
-a check fails does it walk the candidates one by one.  ``reference``
+``build_graph`` first checks whole columns of the candidates at once.
+It walks one by one only the candidates those checks leave to it (a map
+with a zero or a sum to renormalize, or every candidate when a check
+fails), and builds the graph's columns from the maps.  ``reference``
 below is the walk as every input took it before the column checks,
 kept as it was written.  Every input must give the same columns and
 warnings, or the same error class and message, through ``build_graph``
@@ -30,7 +31,7 @@ from kgsqueeze.graph import (
     SUM_TOLERANCE_BAND,
     SUM_WARN_TOLERANCE,
     ProbabilityGraph,
-    _clean_columns,
+    _column_checked,
     _items,
     _require_str,
     _triple,
@@ -301,9 +302,9 @@ def document(candidates) -> bytes:
                 (1, "an empty map"),
                 (2, "an empty map")])
 def test_build_graph_matches_the_walk(candidates, edits):
-    if not edits:  # the column checks pass, so the column path runs
+    if not edits:  # the column checks pass and settle every candidate
         index = {label: i for i, label in enumerate(LABELS)}
-        assert _clean_columns(tuple(candidates), set(IDS), index) is not None
+        assert _column_checked(tuple(candidates), set(IDS), index)[3] == []
     candidates = edited(candidates, edits)
     expected = outcome(reference, candidates)
     assert outcome(kq.build_graph, candidates) == expected
@@ -317,13 +318,38 @@ def test_build_graph_matches_the_walk(candidates, edits):
         assert outcome(parse, loaded) == expected
 
 
+BASE = [("e0", "e1", {"r0": 0.25, "r1": 0.75}), ("e1", "e2", {"r2": 1.0}),
+        ("e2", "e3", {"r1": 0.5, "r3": 0.5})]
+
+
 def test_every_change_is_tried_at_the_first_and_a_later_candidate():
     """Each named change on its own, so none rests on what hypothesis draws."""
-    base = [("e0", "e1", {"r0": 0.25, "r1": 0.75}), ("e1", "e2", {"r2": 1.0}),
-            ("e2", "e3", {"r1": 0.5, "r3": 0.5})]
     for name in CHANGES:
         for position in (0, 2):
-            candidates = edited(base, [(position, name)])
+            candidates = edited(BASE, [(position, name)])
             assert outcome(kq.build_graph, candidates) == outcome(reference, candidates), name
-    every_empty = [(h, t, {}) for h, t, _ in base]
+    every_empty = [(h, t, {}) for h, t, _ in BASE]
     assert outcome(kq.build_graph, every_empty) == outcome(reference, every_empty)
+
+
+#: Changes that pass every whole-column check but leave their candidate
+#: to the walk: a zero to drop, a sum to renormalize or refuse, or a NaN
+#: that ``min`` and ``max`` pass after a valid value.
+WALKED_ALONE = (
+    "an empty map", "NaN after a valid value", "a -0.0 value", "a 0.0 value",
+    "drift just outside 1e-12", "drift just outside -1e-12", "drift just inside 1e-6",
+    "drift just outside 1e-6", "drift just outside -1e-6", "sum at the low band edge",
+    "sum below the low band edge", "sum at the high band edge",
+    "sum above the high band edge",
+)
+
+
+def test_a_candidate_the_column_checks_cannot_settle_is_walked_alone():
+    index = {label: i for i, label in enumerate(LABELS)}
+    for name in WALKED_ALONE:
+        for position in (0, 1):
+            candidates = tuple(edited(BASE, [(position, name)]))
+            assert _column_checked(candidates, set(IDS), index)[3] == [position], name
+    for name in ("drift just inside 1e-12", "drift just below 1 inside 1e-12"):
+        candidates = tuple(edited(BASE, [(1, name)]))
+        assert _column_checked(candidates, set(IDS), index)[3] == [], name

@@ -175,6 +175,29 @@ def test_reals_in_exponent_form_keep_the_stdlib_layout():
     assert list(map(repr, graph.entropies)) == ["3.7691911566879126e-11", "0.0", "5.306e-321"]
 
 
+class Real(float):
+    """A ``float`` subclass whose repr is no JSON number, as numpy's are."""
+
+    def __repr__(self):
+        return f"Real({float(self)!r})"
+
+
+@pytest.mark.parametrize("column", ["top_probabilities", "entropies"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), Real(0.5), 1])
+def test_a_real_no_json_number_can_spell_is_refused(column, bad):
+    """A graph built around ``build_graph`` may hold any real; a selection
+    of it raises rather than write bytes no JSON parser reads."""
+    graph = kq.parse_graph_document(chain_document(2 * B + 1))
+    result = kq.select(graph, kq.SelectionConfig(1.0, 2))
+    last = result.selected[-1]  # in the last batch, after two are laid out
+    values = list(getattr(graph, column))
+    values[last] = bad
+    broken = dataclasses.replace(graph, **{column: tuple(values)})
+    with pytest.raises(ValueError, match="not a finite float"):
+        kq.emit_selection(result, broken)
+    assert kq.emit_selection(result, graph) == stdlib_layout(kq.emit_selection(result, graph))
+
+
 #: Allowed growth of the write path's tracemalloc peak from H = 2,000 to
 #: H = 20,000.  Measured at 0.5 KB on Python 3.11: each peak is one batch of
 #: entries, so only that batch's longer indices and surfaces add to it.
