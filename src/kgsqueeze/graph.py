@@ -16,12 +16,12 @@ its size follows its document, not candidates times the relation set.
 ``RelationDistribution``, only when a caller reads one; the pipeline
 reads the columns.
 
-``build_graph`` checks the candidates a whole column at a time (exact
-types, known ids, no self-loop, known labels, confidences in [0, 1]).
-When those checks hold, it walks one by one only the candidates whose
-map holds a zero or needs renormalizing; when one fails, it walks them
-all.  That walk alone names the first fault or renormalizes a sum, and
-one builder makes the columns from the walked and the unwalked maps.
+``build_graph`` gives each rule one owner.  Whole-column checks (exact
+types, known ids, no self-loop, known labels, confidences in [0, 1])
+validate the candidates when they all hold; when one fails, a walk
+checks every candidate in turn and names the first fault.  Then one pass
+over every map, in candidate order, checks its sum, renormalizes it and
+drops its zeros, and one builder makes the columns from the maps.
 
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
@@ -43,7 +43,7 @@ from collections.abc import Collection, Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import fsum, log2
+from math import fsum, isnan, log2
 from operator import eq, itemgetter, mul
 
 from .errors import (
@@ -56,7 +56,7 @@ from .errors import (
 )
 
 # Raw confidence sums outside this band are rejected as broken extractor
-# output; inside it they are silently renormalized (with a warning note).
+# output; inside it they are renormalized.
 SUM_TOLERANCE_BAND = (0.9, 1.1)
 
 # |sum - 1| above this triggers a normalization warning on the graph.
@@ -230,16 +230,16 @@ def _entropy(probabilities: Collection[float]) -> float:
 
 def _probabilities(
     index: dict[str, int], confidences: Mapping[str, float], i: int
-) -> tuple[dict[str, float], str | None]:
-    """Validate candidate ``i``'s confidence map and normalize it to sum 1.
+) -> dict[str, float]:
+    """Validate candidate ``i``'s confidence map.
 
     ``index`` maps each relation label to its position.  The rules run in
     this order, and the first broken one raises: every unknown label at
-    once, then each confidence in map order (its type, then its range),
-    then the sum.  Returns a ``dict`` of each label with a non-zero
-    probability, as a ``float``, in map order, and an optional warning
-    when the raw sum drifted from 1 by more than SUM_WARN_TOLERANCE.
-    Work scales with the labels the map gives, not with the relation set.
+    once, then each confidence in map order (its type, then its range).
+    Returns a ``dict`` of each label given, zeros included, with its
+    confidence as a ``float``, in map order; ``build_graph`` checks and
+    normalizes its sum.  Work scales with the labels the map gives, not
+    with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
@@ -253,7 +253,7 @@ def _probabilities(
             f"candidate {i}: confidence for unknown relation label(s) "
             f"{sorted(unknown, key=str)!r}"
         )
-    raw = []
+    given = {}
     for label, value in confidences.items():
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -270,26 +270,17 @@ def _probabilities(
             raise BadDistributionError(
                 f"candidate {i}: confidence {value!r} for {label!r} outside [0, 1]"
             )
-        raw.append(value)
-    total = fsum(raw)
+        given[label] = value
+    return given
+
+
+def _check_sum(total: float, i: int) -> None:
+    """Refuse candidate ``i``'s confidence sum outside SUM_TOLERANCE_BAND."""
     low, high = SUM_TOLERANCE_BAND
     if not low <= total <= high:
         raise BadDistributionError(
             f"candidate {i}: confidences sum to {total!r}, outside [{low}, {high}]"
         )
-    drift = abs(total - 1.0)
-    warning = None
-    if drift > SUM_WARN_TOLERANCE:
-        warning = f"candidate {i}: confidences sum to {total:.6g}, renormalized"
-    # Within _SUM_KEPT of 1, don't renormalize (x / 1.0 is x), so
-    # re-ingesting serialized output reproduces confidences bit for bit.
-    divisor = total if drift > _SUM_KEPT else 1.0
-    clean = {
-        label: p
-        for label, value in zip(confidences, raw)
-        if (p := value / divisor)  # explicit zeros are dropped
-    }
-    return clean, warning
 
 
 def _require_str(value: object, field: str) -> None:
@@ -383,22 +374,17 @@ def _triple(candidate: object, i: int) -> tuple:
 
 def _column_checked(
     candidates: tuple, ids: set[str], index: dict[str, int]
-) -> tuple[list, list, list, Sequence[int]]:
-    """The head, tail and confidence-map columns of ``candidates``, and
-    the indices, in order, of those left to the walk (their items are
-    ``None``): every candidate when a whole-column check ``build_graph``
-    lists fails, else those whose map holds a zero or sums to more than
-    ``_SUM_KEPT`` from 1.
+) -> tuple[tuple, tuple, list] | None:
+    """The head, tail and confidence-map columns of ``candidates`` when
+    every whole-column check ``build_graph`` lists holds, else ``None``.
 
     Each check runs only once those before it make it safe: ``min`` gets
-    no empty list, and ``fsum`` only values in [0, 1] or a NaN, which
-    ``min`` and ``max`` pass after a valid value; its sum is NaN, which
-    leaves its candidate to the walk.
+    no empty list, and ``sum`` only values in [0, 1], which cannot
+    overflow it, or a NaN, which ``min`` and ``max`` pass after a valid
+    value and which makes the sum NaN.
     """
-    n = len(candidates)
-    every = [None] * n, [None] * n, [None] * n, range(n)
     if {*map(type, candidates)} != {tuple} or {*map(len, candidates)} != {3}:
-        return every
+        return None
     heads, tails, maps = zip(*candidates)
     if not (
         {*map(type, heads), *map(type, tails)} == {str}
@@ -408,20 +394,17 @@ def _column_checked(
         and {*map(type, maps)} == {dict}
         and index.keys() >= {*chain.from_iterable(maps)}
     ):
-        return every
+        return None
     values = [*chain.from_iterable(map(dict.values, maps))]
     if not (
         values
         and {*map(type, values)} == {float}
         and 0.0 <= min(values)
         and max(values) <= 1.0
+        and not isnan(sum(values))
     ):
-        return every
-    unsettled = [
-        i for i, v in enumerate(map(dict.values, maps))
-        if not abs(fsum(v) - 1.0) <= _SUM_KEPT or 0.0 in v
-    ]
-    return [*heads], [*tails], [*maps], unsettled
+        return None
+    return heads, tails, [*maps]
 
 
 def build_graph(
@@ -435,8 +418,11 @@ def build_graph(
     Each candidate is ``(head_id, tail_id, confidences)``; its entropy,
     top relation and top probability are computed here, and it is stored
     in the graph's columns, with no ``Quadruple`` built.  Candidate order
-    is preserved.  Confidence sums inside ``SUM_TOLERANCE_BAND`` are
-    renormalized (recorded in ``graph.warnings``); anything else raises.
+    is preserved.  A confidence sum within ``_SUM_KEPT`` (1e-12) of 1 is
+    kept as given, one within ``SUM_WARN_TOLERANCE`` (1e-6) renormalized
+    silently, one further off but inside ``SUM_TOLERANCE_BAND``
+    renormalized with a note in ``graph.warnings``; anything else raises.
+    Zero confidences are dropped.
     A value of the wrong type (a relation set, entity list or candidate
     list that is a string or no container, an entity not an ``Entity``,
     a candidate not a triple, a text, label, id, surface, head or tail
@@ -454,11 +440,10 @@ def build_graph(
     a C-level call: every candidate an exact 3-``tuple``, every head and
     tail an exact ``str`` among the entity ids, no head equal to its tail,
     every map an exact ``dict`` of known labels, every confidence an exact
-    ``float`` in [0, 1].  Then the rules above are walked candidate by
-    candidate, in order: for all of them when a check fails, else only for
-    those whose map holds a zero or whose sum is more than ``_SUM_KEPT``
-    from 1.  The walk alone names a fault or renormalizes, and one builder
-    makes every column from the maps.
+    ``float`` in [0, 1] and none a NaN.  When they all hold, they are the
+    whole validation; when one fails, the rules above are walked for every
+    candidate, in order.  Then one pass over every map, in candidate
+    order, normalizes it, and one builder makes every column from the maps.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -469,31 +454,48 @@ def build_graph(
         raise EmptyGraphError("no quadruple candidates")
 
     index = {label: i for i, label in enumerate(labels)}
-    heads, tails, maps, unsettled = _column_checked(candidates, ids, index)
+    columns = _column_checked(candidates, ids, index)
+    heads, tails, maps = columns or ([], [], [])
+    if columns is None:  # the walk, in candidate order: the first fault raises
+        for i, candidate in enumerate(candidates):
+            if type(candidate) is not tuple or len(candidate) != 3:
+                candidate = _triple(candidate, i)
+            head, tail, confidences = candidate
+            if not isinstance(head, str):
+                raise SchemaViolationError(
+                    f"candidate {i}: head must be a str, got {type(head).__name__}"
+                )
+            if head not in ids:
+                raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
+            if not isinstance(tail, str):
+                raise SchemaViolationError(
+                    f"candidate {i}: tail must be a str, got {type(tail).__name__}"
+                )
+            if tail not in ids:
+                raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
+            if head == tail:
+                raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
+            given = _probabilities(index, confidences, i)
+            _check_sum(fsum(given.values()), i)  # before a later candidate's fault
+            heads.append(head)
+            tails.append(tail)
+            maps.append(given)
+    # The one normalization pass, in candidate order.  A map with no zero
+    # and a sum within _SUM_KEPT of 1 is kept as given, so re-ingesting
+    # serialized output reproduces confidences bit for bit.
     warnings = []
-    for i in unsettled:  # the walk, in candidate order: the first fault raises
-        candidate = candidates[i]
-        if type(candidate) is not tuple or len(candidate) != 3:
-            candidate = _triple(candidate, i)
-        head, tail, confidences = candidate
-        if not isinstance(head, str):
-            raise SchemaViolationError(
-                f"candidate {i}: head must be a str, got {type(head).__name__}"
-            )
-        if head not in ids:
-            raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
-        if not isinstance(tail, str):
-            raise SchemaViolationError(
-                f"candidate {i}: tail must be a str, got {type(tail).__name__}"
-            )
-        if tail not in ids:
-            raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
-        if head == tail:
-            raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
-        maps[i], warning = _probabilities(index, confidences, i)
-        if warning:
-            warnings.append(warning)
-        heads[i], tails[i] = head, tail
+    for i, values in enumerate(map(dict.values, maps)):
+        total = fsum(values)
+        drift = abs(total - 1.0)
+        if drift > _SUM_KEPT or 0.0 in values:
+            _check_sum(total, i)
+            if drift > SUM_WARN_TOLERANCE:
+                warnings.append(
+                    f"candidate {i}: confidences sum to {total:.6g}, renormalized"
+                )
+            divisor = total if drift > _SUM_KEPT else 1.0  # x / 1.0 is x
+            # Explicit zeros are dropped.
+            maps[i] = {label: p for label, v in maps[i].items() if (p := v / divisor)}
     # A map's labels are distinct, so sorting never compares probabilities.
     pairs = tuple([tuple(sorted(zip(map(index.__getitem__, m), m.values()))) for m in maps])
     # The first largest pair: ties go to the earliest label.

@@ -98,13 +98,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _document(data: bytes | str, where: str) -> dict:
-    """Decode a document: UTF-8 JSON whose root is an object carrying
-    this ``SCHEMA_VERSION``; ``where`` names the kind in messages."""
+    """Decode a document, a ``str`` or any bytes-like object: UTF-8 JSON
+    whose root is an object carrying this ``SCHEMA_VERSION``; ``where``
+    names the kind in messages."""
     try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        else:
+        if isinstance(data, str):
             data.encode("utf-8")  # a str may hold a lone surrogate
+        else:
+            data = str(data, "utf-8")
     except UnicodeError as exc:
         raise MalformedDocumentError(f"not valid UTF-8: {exc}") from None
     try:
@@ -187,18 +188,15 @@ def parse_graph_document(data: bytes | str) -> ProbabilityGraph:
         for at, e in _objects(doc, "entities", "document")
     ]
     objects = _require(doc, "candidates", list, "document")
-    triple = ("head", "tail", "confidences")
     try:
-        candidates = list(map(itemgetter(*triple), objects))
+        candidates = list(map(itemgetter("head", "tail", "confidences"), objects))
     except (KeyError, TypeError):  # not an object, or a field missing
-        for i, c in enumerate(objects):
-            at = f"candidates[{i}]"
-            if not isinstance(c, dict):
-                raise SchemaViolationError(f"{at} must be an object") from None
-            for key in triple:
-                if key not in c:
-                    raise SchemaViolationError(f"{at}: missing field {key!r}") from None
-        raise
+        candidates = None
+    if candidates is None:  # outside the handler, so no KeyError is chained
+        candidates = [
+            (_field(c, "head", at), _field(c, "tail", at), _field(c, "confidences", at))
+            for at, c in _objects(doc, "candidates", "document")
+        ]
     return build_graph(text, relation_set, entities, candidates)
 
 

@@ -200,25 +200,21 @@ def eligible(
     ]
 
 
-@dataclass(frozen=True)
-class _GraphFacts:
-    """What selection needs of a graph, whatever the ratio, depth or strategy."""
-
-    reach: tuple[int | float, ...]  # per quadruple: max(d[head], d[tail])
-    sorted_reach: tuple[int | float, ...]
-    deepest: int  # the largest finite distance
-
-
-def _facts(graph: ProbabilityGraph) -> _GraphFacts:
-    """Built on a graph's first selection and kept in its instance ``__dict__``,
-    like its entity index, so outside equality and hashing."""
+def _facts(
+    graph: ProbabilityGraph,
+) -> tuple[tuple[int | float, ...], tuple[int | float, ...], int]:
+    """What selection needs of a graph, whatever the ratio, depth or
+    strategy: each quadruple's reach, max(d[head], d[tail]), the reaches
+    sorted, and the largest finite distance.  Built on a graph's first
+    selection and kept in its instance ``__dict__``, like its entity
+    index, so outside equality and hashing."""
     facts = graph.__dict__.get("_selection_facts")
     if facts is None:
         distances = all_distances(graph, select_initial_node(graph))
         d = distances.distance
         ends = zip(graph.heads, graph.tails)
         reach = tuple([max(d[head], d[tail]) for head, tail in ends])
-        facts = graph.__dict__["_selection_facts"] = _GraphFacts(
+        facts = graph.__dict__["_selection_facts"] = (
             reach, tuple(sorted(reach)), distances.max_finite()
         )
     return facts
@@ -238,7 +234,7 @@ def _ordering(graph: ProbabilityGraph, strategy: str) -> Sequence[int]:
     if order is None:
         n = len(graph.heads)
         if strategy in ("order_front", "order_back"):
-            reach = _facts(graph).reach
+            reach = _facts(graph)[0]
             order = [i for i in range(n) if not isinf(reach[i])]
             stranded = [i for i in range(n) if isinf(reach[i])]
             # A stable sort: equal entropies keep input order.
@@ -284,13 +280,12 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     """
     if not graph.heads:
         raise EmptyGraphError("cannot select from an empty graph")
-    facts = _facts(graph)
-    reach = facts.reach
+    reach, sorted_reach, deepest = _facts(graph)
     target = quota(config.ratio, len(reach))
-    needed = facts.sorted_reach[target - 1]
+    needed = sorted_reach[target - 1]
     # Short of the quota even at the deepest finite distance.
     fallback = isinf(needed)
-    depth = max(config.max_depth, facts.deepest if fallback else needed)
+    depth = max(config.max_depth, deepest if fallback else needed)
     limit = inf if fallback else depth
     if config.strategy == "random":
         if config.seed is None:

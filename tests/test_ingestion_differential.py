@@ -1,9 +1,9 @@
 """``build_graph`` against the candidate-by-candidate walk it runs on.
 
 ``build_graph`` first checks whole columns of the candidates at once.
-It walks one by one only the candidates those checks leave to it (a map
-with a zero or a sum to renormalize, or every candidate when a check
-fails), and builds the graph's columns from the maps.  ``reference``
+When those checks hold they are the whole validation; when one fails,
+it walks every candidate one by one.  Then one pass over every map
+checks its sum, renormalizes it and drops its zeros.  ``reference``
 below is the walk as every input took it before the column checks,
 kept as it was written.  Every input must give the same columns and
 warnings, or the same error class and message, through ``build_graph``
@@ -11,6 +11,7 @@ and, where a document can carry it, through ``parse_graph_document``.
 """
 
 import json
+import struct
 from collections.abc import Mapping
 from math import fsum, inf, log2, nan, nextafter
 from operator import itemgetter
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
+from kgsqueeze import graph as graph_module
 from kgsqueeze.errors import (
     BadDistributionError,
     EmptyGraphError,
@@ -295,16 +297,42 @@ def document(candidates) -> bytes:
     }).encode("utf-8")
 
 
+def float32(x: float) -> float:
+    return struct.unpack("f", struct.pack("f", x))[0]
+
+
+#: Changes to every confidence of a graph at once.  All but the first move
+#: nearly every sum from 1: as a float32 pipeline's do, by a silent
+#: amount, or by enough for a warning.
+EVERY_VALUE = {
+    "unchanged": lambda p: p,
+    "rounded to float32": float32,
+    "1e-9 low": lambda p: p * (1 - 1e-9),
+    "1e-9 high, at most 1": lambda p: min(p * (1 + 1e-9), 1.0),
+    "1e-3 low": lambda p: p * (1 - 1e-3),
+}
+
+
+def every_value(candidates, name):
+    change = EVERY_VALUE[name]
+    return [(h, t, {label: change(p) for label, p in m.items()}) for h, t, m in candidates]
+
+
+def column_checked(candidates):
+    index = {label: i for i, label in enumerate(LABELS)}
+    return _column_checked(tuple(candidates), set(IDS), index)
+
+
 @settings(max_examples=600, deadline=None)
-@given(candidates=CANDIDATES, edits=EDITS)
-@example(candidates=[("e0", "e1", {"r0": 1.0})] * 3,
+@given(candidates=CANDIDATES, values=st.sampled_from(list(EVERY_VALUE)), edits=EDITS)
+@example(candidates=[("e0", "e1", {"r0": 1.0})] * 3, values="unchanged",
          edits=[(0, "an empty map"),
                 (1, "an empty map"),
                 (2, "an empty map")])
-def test_build_graph_matches_the_walk(candidates, edits):
-    if not edits:  # the column checks pass and settle every candidate
-        index = {label: i for i, label in enumerate(LABELS)}
-        assert _column_checked(tuple(candidates), set(IDS), index)[3] == []
+def test_build_graph_matches_the_walk(candidates, values, edits):
+    candidates = every_value(candidates, values)
+    if not edits:  # the column checks pass, whatever the sums
+        assert column_checked(candidates) is not None
     candidates = edited(candidates, edits)
     expected = outcome(reference, candidates)
     assert outcome(kq.build_graph, candidates) == expected
@@ -332,24 +360,41 @@ def test_every_change_is_tried_at_the_first_and_a_later_candidate():
     assert outcome(kq.build_graph, every_empty) == outcome(reference, every_empty)
 
 
-#: Changes that pass every whole-column check but leave their candidate
-#: to the walk: a zero to drop, a sum to renormalize or refuse, or a NaN
-#: that ``min`` and ``max`` pass after a valid value.
-WALKED_ALONE = (
-    "an empty map", "NaN after a valid value", "a -0.0 value", "a 0.0 value",
-    "drift just outside 1e-12", "drift just outside -1e-12", "drift just inside 1e-6",
-    "drift just outside 1e-6", "drift just outside -1e-6", "sum at the low band edge",
-    "sum below the low band edge", "sum at the high band edge",
-    "sum above the high band edge",
+#: Changes that pass every whole-column check, leaving the normalization
+#: pass a zero to drop or a sum to keep, renormalize or refuse.
+NORMALIZED = (
+    "an empty map", "a -0.0 value", "a 0.0 value", "drift just inside 1e-12",
+    "drift just outside 1e-12", "drift just below 1 inside 1e-12",
+    "drift just outside -1e-12", "drift just inside 1e-6", "drift just outside 1e-6",
+    "drift just outside -1e-6", "sum at the low band edge", "sum below the low band edge",
+    "sum at the high band edge", "sum above the high band edge",
 )
 
 
-def test_a_candidate_the_column_checks_cannot_settle_is_walked_alone():
-    index = {label: i for i, label in enumerate(LABELS)}
-    for name in WALKED_ALONE:
+def test_zeros_and_drifting_sums_pass_the_column_checks_but_a_nan_does_not():
+    for name in NORMALIZED:
         for position in (0, 1):
-            candidates = tuple(edited(BASE, [(position, name)]))
-            assert _column_checked(candidates, set(IDS), index)[3] == [position], name
-    for name in ("drift just inside 1e-12", "drift just below 1 inside 1e-12"):
-        candidates = tuple(edited(BASE, [(1, name)]))
-        assert _column_checked(candidates, set(IDS), index)[3] == [], name
+            candidates = edited(BASE, [(position, name)])
+            assert column_checked(candidates) is not None, name
+            assert outcome(kq.build_graph, candidates) == outcome(reference, candidates), name
+    for name in ("NaN after a valid value", "NaN first"):
+        for position in (0, 1):
+            assert column_checked(edited(BASE, [(position, name)])) is None, name
+
+
+def test_only_a_failed_column_check_walks_and_then_walks_every_candidate(monkeypatch):
+    walked = []
+
+    def counted(index, confidences, i, _original=graph_module._probabilities):
+        walked.append(i)
+        return _original(index, confidences, i)
+
+    monkeypatch.setattr(graph_module, "_probabilities", counted)
+    drifting = every_value(BASE * 4, "1e-9 low")
+    zero_padded = [(h, t, dict.fromkeys(LABELS, 0.0) | m) for h, t, m in BASE * 4]
+    for candidates in (drifting, zero_padded):
+        assert outcome(kq.build_graph, candidates) == outcome(reference, candidates)
+        assert walked == []
+    candidates = edited(drifting, [(5, "an int value")])
+    assert outcome(kq.build_graph, candidates) == outcome(reference, candidates)
+    assert walked == [*range(len(candidates))]

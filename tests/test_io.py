@@ -59,6 +59,15 @@ class TestGraphDocuments:
         graph = kq.parse_graph_document(as_bytes(valid_doc()).decode())
         assert len(graph.quadruples) == 2
 
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_both_parsers_accept_bytes_like_input(self, bruce, wrap):
+        raw = fixture_bytes("bruce.json")
+        graph = kq.parse_graph_document(wrap(raw))
+        assert graph == bruce and kq.serialize_graph(graph) == raw
+        result = kq.select(bruce, kq.SelectionConfig(0.5, 2))
+        blob = kq.emit_selection(result, bruce)
+        assert kq.parse_selection_document(wrap(blob), bruce) == result
+
     def test_missing_token_index_defaults_to_none(self):
         graph = kq.parse_graph_document(as_bytes(valid_doc()))
         assert graph.entities[1].first_token_index is None
@@ -75,6 +84,14 @@ class TestGraphDocumentErrors:
     def test_not_utf8(self):
         with pytest.raises(kq.MalformedDocumentError, match="UTF-8"):
             kq.parse_graph_document(b"\xff\xfe\x00")
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize(
+        "parse", [kq.parse_graph_document, kq.parse_selection_document]
+    )
+    def test_bytes_like_input_not_utf8(self, parse, wrap):
+        with pytest.raises(kq.MalformedDocumentError, match="^not valid UTF-8"):
+            parse(wrap(b'{"schema_version": 1, "text": "\xff"}'))
 
     def test_not_json(self):
         with pytest.raises(kq.MalformedDocumentError, match="JSON"):
