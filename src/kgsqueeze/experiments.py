@@ -64,11 +64,10 @@ def run_sweep(
     """All strategies across the ratio grid; see the module docstring.
 
     Each evaluation is one ``select``, ``verbalize`` and ``similarity``
-    call on ``graph``.  What they share lives on the graph object, built
-    on first use: the distances, one ordering of the quadruples per
-    deterministic strategy, the sentences and the scoring records.  So a
-    deterministic evaluation takes a prefix of its strategy's ordering
-    and scores in one pass, and none of these caches grows with the grid.
+    call on ``graph``.  What they share is derived once per graph object
+    (see the ``graph`` module), so a deterministic evaluation takes a
+    prefix of its strategy's ordering and scores in one pass, and nothing
+    kept grows with the grid.
 
     Returns rows in (strategy, K) order and the individual
     random-baseline run records in (K, run index) order: strategies run

@@ -25,23 +25,24 @@ drops its zeros, and one builder makes the columns from the maps.
 
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
-share across threads.  A graph object keeps private caches of facts
-derived from it in its instance ``__dict__``, outside equality and
-hashing: its entity index and endpoint counts, the selection facts (the
-distances' reach), at most one ordering of its quadruples per
-deterministic strategy, each quadruple's sentence and, per case mode,
-the normalized texts with one record per entity scored.  None grows
-with the ratios or depths a caller asks for.  They are filled on first
-use; filling them is idempotent, since every entry is a function of the
-graph alone, so a lost race only computes an entry twice.
+share across threads.  What is derived from a graph alone is built once
+per graph object, on first use, through ``_derived``, which keeps it in
+the object's instance ``__dict__``, outside equality and hashing: the
+entity index ``_by_id``, the ``_endpoint_counts``, the
+``_selection_facts`` (each quadruple's reach, sorted too, and the
+deepest finite distance), the ``_orderings`` (one per deterministic
+strategy), the ``_sentences`` (one per quadruple rendered) and the
+``_scoring_facts`` (per case mode, the normalized texts and one record
+per entity scored).  None grows with the ratios or depths a caller asks
+for.  Every entry is a function of the graph alone, so a lost race only
+builds one twice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Iterable, Mapping, Sequence, Sized
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from math import fsum, isnan, log2
 from operator import eq, itemgetter, mul
@@ -151,20 +152,7 @@ class ProbabilityGraph:
         return _Quadruples(self)
 
     def entity(self, entity_id: str) -> Entity:
-        try:
-            return self._by_id[entity_id]
-        except KeyError:
-            raise UnknownEntityError(f"unknown entity id {entity_id!r}") from None
-
-    @cached_property
-    def _by_id(self) -> dict[str, Entity]:
-        # Kept in the instance __dict__, outside equality and hashing.
-        return {e.id: e for e in self.entities}
-
-    @cached_property
-    def _endpoint_counts(self) -> Counter[str]:
-        # Walked once per graph object; read-only, occurrence_counts copies it.
-        return Counter(chain.from_iterable(zip(self.heads, self.tails)))
+        return _derived(self, "_by_id", _EntityIndex)[entity_id]
 
     def occurrence_counts(self) -> Counter[str]:
         """How many quadruple endpoint slots each entity fills.
@@ -173,7 +161,36 @@ class ProbabilityGraph:
         counts twice; an entity in no quadruple counts zero.  Each call
         returns a fresh Counter the caller may mutate.
         """
-        return self._endpoint_counts.copy()
+        return _derived(self, "_endpoint_counts", _endpoint_counts).copy()
+
+
+def _derived(graph: ProbabilityGraph, name: str, build: Callable, *key: object):
+    """``graph``'s derived fact ``name`` or, given a ``key``, that fact's
+    entry for it (the fact is then a dict by key), built with
+    ``build(graph, *key)`` on first use; see the module docstring."""
+    facts = graph.__dict__
+    if key:
+        facts = facts.setdefault(name, {})
+        name = key[0]
+    fact = facts.get(name)
+    if fact is None:
+        fact = facts.setdefault(name, build(graph, *key))
+    return fact
+
+
+class _EntityIndex(dict):
+    """A graph's entities by id; an unknown id raises ``UnknownEntityError``."""
+
+    def __init__(self, graph: ProbabilityGraph) -> None:
+        super().__init__({e.id: e for e in graph.entities})
+
+    def __missing__(self, entity_id: str):
+        raise UnknownEntityError(f"unknown entity id {entity_id!r}")
+
+
+def _endpoint_counts(graph: ProbabilityGraph) -> Counter[str]:
+    """Read-only: ``occurrence_counts`` hands out copies."""
+    return Counter(chain.from_iterable(zip(graph.heads, graph.tails)))
 
 
 class _Quadruples(Sequence):

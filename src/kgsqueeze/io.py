@@ -37,7 +37,7 @@ from .errors import (
     SchemaViolationError,
     SelectionMismatchError,
 )
-from .graph import Entity, ProbabilityGraph, _take, build_graph
+from .graph import Entity, ProbabilityGraph, _EntityIndex, _derived, _take, build_graph
 from .selection import SelectionConfig, SelectionResult, select
 
 SCHEMA_VERSION = 1
@@ -254,11 +254,12 @@ _ENTRY_FIELDS = ("index", "head", "relation", "tail", "top_probability", "entrop
 
 def _selection_entry(graph: ProbabilityGraph, i: int) -> dict:
     """The ``selected`` entry of quadruple ``i``."""
+    by_id = _derived(graph, "_by_id", _EntityIndex)
     return dict(zip(_ENTRY_FIELDS, (
         i,
-        graph.entity(graph.heads[i]).surface,
+        by_id[graph.heads[i]].surface,
         graph.top_relations[i],
-        graph.entity(graph.tails[i]).surface,
+        by_id[graph.tails[i]].surface,
         graph.top_probabilities[i],
         graph.entropies[i],
     )))
@@ -297,6 +298,7 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
         yield head
         return
     heads, tails, relations = graph.heads, graph.tails, graph.top_relations
+    by_id = _derived(graph, "_by_id", _EntityIndex)
     opening = head[:-len(b"[]\n}\n")] + b"[\n"
     for start in range(0, len(selected), _SELECTION_BATCH):
         batch = selected[start:start + _SELECTION_BATCH]
@@ -307,7 +309,7 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
             bad = next(x for x in reals if type(x) is not float or not isfinite(x))
             raise ValueError(f"a selected quadruple's real is not a finite float: {bad!r}")
         ends = {
-            e: encode_basestring(graph.entity(e).surface)
+            e: encode_basestring(by_id[e].surface)
             for e in {*_take(heads, batch), *_take(tails, batch)}
         }
         labels = {r: encode_basestring(r) for r in {*_take(relations, batch)}}
@@ -330,7 +332,8 @@ def parse_selection_document(
 ) -> SelectionResult:
     """Parse a selection document; optionally validate it against a graph.
 
-    The header must make a SelectionConfig, else SchemaViolationError.
+    The header must make a SelectionConfig, and each ``selected`` index
+    be a non-negative int, else SchemaViolationError.
     With a graph, that config is replayed through ``select`` and every
     field the document has must match the replay (reals within 1e-9, the
     rest exactly, ``selected`` entry by entry), else SelectionMismatchError.
@@ -361,6 +364,8 @@ def parse_selection_document(
     indices = []
     for where, item in _objects(doc, "selected", "selection"):
         indices.append(_require(item, "index", int, where))
+        if indices[-1] < 0:
+            raise SchemaViolationError(f"{where}: field 'index' must be non-negative")
         for key in ("top_probability", "entropy"):
             if key in item:
                 _require_number(item, key, where)
@@ -395,7 +400,7 @@ def _validate_against_graph(
     """
     total = len(graph.heads)
     for i in result.selected:
-        if not 0 <= i < total:
+        if i >= total:
             raise SelectionMismatchError(
                 f"selected index {i} out of range for a graph of {total} quadruples"
             )

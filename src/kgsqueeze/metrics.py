@@ -13,16 +13,15 @@ The recovered text is pluggable.  ``verbalize`` renders a deterministic
 one-sentence-per-quadruple stand-in; callers with an external recovery
 model (e.g. a generative one) pass its output instead.
 
-What depends on the graph alone is computed once per graph object, on
-first use, and kept in its instance ``__dict__``: each quadruple's
-sentence, and per case mode the normalized original text, every
-entity's normalized surface and, per entity first selected, one record
-of its surface, its count in the original text and whether the surface
-is plain (see ``similarity``).  A scoring then reads one record per
-selected entity and sums as it goes; it counts only in the recovered
-text, and not even there for a plain surface when the text is
-``verbalize``'s own: its count is then how often its entity is a
-selected endpoint.
+What depends on the graph alone is derived once per graph object (see
+the ``graph`` module): each quadruple's sentence, and per case mode the
+normalized original text, every entity's normalized surface and, per
+entity first selected, one record of its surface, its count in the
+original text and whether the surface is plain (see ``similarity``).  A
+scoring then reads one record per selected entity and sums as it goes;
+it counts only in the recovered text, and not even there for a plain
+surface when the text is ``verbalize``'s own: its count is then how
+often its entity is a selected endpoint.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from itertools import chain
 from math import fsum
 
 from .errors import InvalidPhiError
-from .graph import ProbabilityGraph, _take
+from .graph import ProbabilityGraph, _EntityIndex, _derived, _take
 from .selection import SelectionResult, _is_int
 
 #: Default accuracy/completeness weight: both contribute equally.
@@ -95,9 +94,7 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
 
 def _sentences(graph: ProbabilityGraph, indices: Sequence[int]) -> tuple[str, ...]:
     """The sentences of ``indices``, in order, each rendered on its first use."""
-    # Kept in the graph's instance __dict__ like its entity index, so
-    # outside equality and hashing; filled one quadruple at a time.
-    sentences = graph.__dict__.setdefault("_sentences", {})
+    sentences = _derived(graph, "_sentences", lambda graph: {})
     for i in indices:
         if i not in sentences:
             sentences[i] = _sentence(graph, i)
@@ -105,38 +102,31 @@ def _sentences(graph: ProbabilityGraph, indices: Sequence[int]) -> tuple[str, ..
 
 
 def _sentence(graph: ProbabilityGraph, i: int) -> str:
-    head = graph.entity(graph.heads[i]).surface
-    tail = graph.entity(graph.tails[i]).surface
+    by_id = _derived(graph, "_by_id", _EntityIndex)
+    head, tail = by_id[graph.heads[i]].surface, by_id[graph.tails[i]].surface
     return f"{head} {graph.top_relations[i]} {tail}."
 
 
 def _scoring_facts(
     graph: ProbabilityGraph, case_insensitive: bool
 ) -> tuple[str, dict[str, str], str, str, frozenset[str], dict[str, tuple]]:
-    """Per case mode, kept in the graph's instance ``__dict__``: the
-    normalized original text, every entity's normalized surface by id,
-    those surfaces joined by newlines, the normalized relation labels
+    """The normalized original text, every entity's normalized surface by
+    id, those surfaces joined by newlines, the normalized relation labels
     framed by newlines and as a set, and the entity records, a map
     ``similarity`` fills one entity at a time with (surface, count in the
     original text, whether the surface is plain), the flag ``None`` until
     a verbalization is scored.
     """
-    modes = graph.__dict__.setdefault("_scoring_facts", {})
-    facts = modes.get(case_insensitive)
-    if facts is None:
-        surfaces = {
-            e.id: _normalize(e.surface, case_insensitive) for e in graph.entities
-        }
-        labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
-        facts = modes.setdefault(case_insensitive, (
-            _normalize(graph.text, case_insensitive),
-            surfaces,
-            "\n".join(surfaces.values()),
-            "\n" + "\n".join(labels) + "\n",
-            frozenset(labels),
-            {},
-        ))
-    return facts
+    surfaces = {e.id: _normalize(e.surface, case_insensitive) for e in graph.entities}
+    labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
+    return (
+        _normalize(graph.text, case_insensitive),
+        surfaces,
+        "\n".join(surfaces.values()),
+        "\n" + "\n".join(labels) + "\n",
+        frozenset(labels),
+        {},
+    )
 
 
 def _is_plain(
@@ -219,8 +209,8 @@ def similarity(
     dict on every call.
     """
     _check_phi(phi)
-    original, surfaces, joined, labels, label_set, records = _scoring_facts(
-        graph, case_insensitive
+    original, surfaces, joined, labels, label_set, records = _derived(
+        graph, "_scoring_facts", _scoring_facts, case_insensitive
     )
     selected = result.selected
     # Cheap necessary test first: the verbalization ends with the last sentence.

@@ -31,7 +31,7 @@ from math import floor, fsum, inf, isfinite, isinf, log2
 from ._rng import sample_indices
 from .distance import DistanceTable, all_distances, select_initial_node
 from .errors import EmptyGraphError, MissingSeedError
-from .graph import ProbabilityGraph, _take
+from .graph import ProbabilityGraph, _derived, _endpoint_counts, _take
 
 #: Entropy-greedy selection (the default) plus the five baselines.
 STRATEGIES = (
@@ -200,61 +200,47 @@ def eligible(
     ]
 
 
-def _facts(
+def _selection_facts(
     graph: ProbabilityGraph,
 ) -> tuple[tuple[int | float, ...], tuple[int | float, ...], int]:
     """What selection needs of a graph, whatever the ratio, depth or
     strategy: each quadruple's reach, max(d[head], d[tail]), the reaches
-    sorted, and the largest finite distance.  Built on a graph's first
-    selection and kept in its instance ``__dict__``, like its entity
-    index, so outside equality and hashing."""
-    facts = graph.__dict__.get("_selection_facts")
-    if facts is None:
-        distances = all_distances(graph, select_initial_node(graph))
-        d = distances.distance
-        ends = zip(graph.heads, graph.tails)
-        reach = tuple([max(d[head], d[tail]) for head, tail in ends])
-        facts = graph.__dict__["_selection_facts"] = (
-            reach, tuple(sorted(reach)), distances.max_finite()
-        )
-    return facts
+    sorted, and the largest finite distance."""
+    distances = all_distances(graph, select_initial_node(graph))
+    d = distances.distance
+    ends = zip(graph.heads, graph.tails)
+    reach = tuple([max(d[head], d[tail]) for head, tail in ends])
+    return reach, tuple(sorted(reach)), distances.max_finite()
 
 
-def _ordering(graph: ProbabilityGraph, strategy: str) -> Sequence[int]:
+def _ordering(graph: ProbabilityGraph, strategy: str) -> tuple[int, ...]:
     """Every quadruple index in the order a deterministic strategy prefers
     it: ``proposed`` by (entropy, index), ``entity_freq_desc`` / ``_asc``
     by (-/+ summed endpoint count, index), ``order_front`` the reachable
     quadruples in input order and then the stranded ones by (entropy,
-    index), ``order_back`` the reverse of that.  Built on the strategy's
-    first use and kept in the graph's instance ``__dict__``, one per
-    strategy; ``random`` samples from ``order_front``'s.
+    index), ``order_back`` the reverse of that.  ``random`` samples from
+    ``order_front``'s.
     """
-    orderings = graph.__dict__.setdefault("_orderings", {})
-    order = orderings.get(strategy)
-    if order is None:
-        n = len(graph.heads)
-        if strategy in ("order_front", "order_back"):
-            reach = _facts(graph)[0]
-            order = [i for i in range(n) if not isinf(reach[i])]
-            stranded = [i for i in range(n) if isinf(reach[i])]
-            # A stable sort: equal entropies keep input order.
-            order += sorted(stranded, key=graph.entropies.__getitem__)
-            order = tuple(order if strategy == "order_front" else reversed(order))
-        else:
-            if strategy == "proposed":
-                keys = graph.entropies
-            else:
-                # The counts select_initial_node walked, read without a copy.
-                counts = graph._endpoint_counts
-                sign = -1 if strategy == "entity_freq_desc" else 1
-                keys = [
-                    sign * (counts[head] + counts[tail])
-                    for head, tail in zip(graph.heads, graph.tails)
-                ]
-            # A stable sort of the indices: equal keys keep input order.
-            order = tuple(sorted(range(n), key=keys.__getitem__))
-        orderings[strategy] = order
-    return order
+    n = len(graph.heads)
+    if strategy in ("order_front", "order_back"):
+        reach = _derived(graph, "_selection_facts", _selection_facts)[0]
+        order = [i for i in range(n) if not isinf(reach[i])]
+        stranded = [i for i in range(n) if isinf(reach[i])]
+        # A stable sort: equal entropies keep input order.
+        order += sorted(stranded, key=graph.entropies.__getitem__)
+        return tuple(order if strategy == "order_front" else reversed(order))
+    if strategy == "proposed":
+        keys = graph.entropies
+    else:
+        # The counts select_initial_node walked, read without a copy.
+        counts = _derived(graph, "_endpoint_counts", _endpoint_counts)
+        sign = -1 if strategy == "entity_freq_desc" else 1
+        keys = [
+            sign * (counts[head] + counts[tail])
+            for head, tail in zip(graph.heads, graph.tails)
+        ]
+    # A stable sort of the indices: equal keys keep input order.
+    return tuple(sorted(range(n), key=keys.__getitem__))
 
 
 def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
@@ -273,14 +259,14 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     a PCG64 generator seeded with ``config.seed`` (required), in input
     order.
 
-    The distances, the reach and each ordering depend only on the graph:
-    they are computed on its first selection (an ordering on its
-    strategy's first) and reused by every later one, the ``metrics``
-    replay and each sweep evaluation included.
+    The reach and each ordering depend only on the graph: they are
+    derived on its first selection (an ordering on its strategy's first)
+    and reused by every later one, the ``metrics`` replay and each sweep
+    evaluation included.
     """
     if not graph.heads:
         raise EmptyGraphError("cannot select from an empty graph")
-    reach, sorted_reach, deepest = _facts(graph)
+    reach, sorted_reach, deepest = _derived(graph, "_selection_facts", _selection_facts)
     target = quota(config.ratio, len(reach))
     needed = sorted_reach[target - 1]
     # Short of the quota even at the deepest finite distance.
@@ -290,12 +276,13 @@ def select(graph: ProbabilityGraph, config: SelectionConfig) -> SelectionResult:
     if config.strategy == "random":
         if config.seed is None:
             raise MissingSeedError("random strategy needs a seed")
-        within = [i for i in _ordering(graph, "order_front") if reach[i] <= limit]
+        order = _derived(graph, "_orderings", _ordering, "order_front")
+        within = [i for i in order if reach[i] <= limit]
         drawn = sample_indices(config.seed, len(within), target)
         selected = sorted(_take(within, drawn))
     else:
-        within = (i for i in _ordering(graph, config.strategy) if reach[i] <= limit)
-        selected = list(islice(within, target))
+        order = _derived(graph, "_orderings", _ordering, config.strategy)
+        selected = list(islice((i for i in order if reach[i] <= limit), target))
     return SelectionResult(
         selected=tuple(selected),
         quota=target,

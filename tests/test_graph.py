@@ -1,8 +1,10 @@
 """Graph construction and entropy scoring."""
 
+import dataclasses
 import json
 import math
 import pickle
+from collections import Counter
 from types import MappingProxyType
 
 import mpmath
@@ -475,6 +477,52 @@ class TestBuildGraph:
             assert kq.similarity(
                 again, result, text, case_insensitive=case_insensitive
             ) == kq.similarity(fresh, result, text, case_insensitive=case_insensitive)
+
+    def test_each_derived_fact_is_built_once_per_graph_and_key(self, bruce, monkeypatch):
+        from kgsqueeze import graph as graph_module, metrics, selection
+
+        builds = Counter()
+        derived = graph_module._derived
+
+        def counted(graph, name, build, *key):
+            def counted_build(*args):
+                builds[id(graph), name, key] += 1
+                return build(*args)
+
+            return derived(graph, name, counted_build, *key)
+
+        for module in (graph_module, selection, metrics):
+            monkeypatch.setattr(module, "_derived", counted)
+        rendered = Counter()
+        render = metrics._sentence
+
+        def counted_render(graph, i):
+            rendered[id(graph), i] += 1
+            return render(graph, i)
+
+        monkeypatch.setattr(metrics, "_sentence", counted_render)
+        graph = kq.parse_graph_document(kq.serialize_graph(bruce))
+        kq.run_sweep(graph, runs=3, seed=1)
+        result = kq.select(graph, kq.SelectionConfig(1.0, 2))
+        for case_insensitive in (False, True):
+            for text in (kq.verbalize(result, graph), graph.text):
+                kq.similarity(graph, result, text, case_insensitive=case_insensitive)
+        for e in graph.entities:
+            assert graph.entity(e.id) is e
+        orderings = [("_orderings", (s,)) for s in kq.STRATEGIES if s != "random"]
+        assert {(name, key) for _, name, key in builds} == {
+            ("_by_id", ()), ("_endpoint_counts", ()), ("_selection_facts", ()),
+            *orderings, ("_sentences", ()),
+            ("_scoring_facts", (False,)), ("_scoring_facts", (True,)),
+        }
+        assert set(builds.values()) == {1}
+        assert set(rendered.values()) == {1}
+        assert len(rendered) == len(graph.heads)
+        fields = {field.name for field in dataclasses.fields(graph)}
+        assert set(graph.__dict__) - fields == {
+            "_by_id", "_endpoint_counts", "_selection_facts",
+            "_orderings", "_sentences", "_scoring_facts",
+        }
 
 
 class TestFixtureEntropies:

@@ -275,6 +275,19 @@ class TestSelectionDocuments:
         with pytest.raises(kq.SelectionMismatchError, match="out of range"):
             kq.parse_selection_document(json.dumps(doc), bruce)
 
+    @pytest.mark.parametrize("with_graph", [True, False],
+                             ids=["with graph", "without graph"])
+    def test_negative_index_is_schema_violation(self, bruce, with_graph):
+        # Read as a position, -1 would be the last quadruple's sentence.
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
+        doc = json.loads(kq.emit_selection(result, bruce))
+        doc["selected"][-1]["index"] = -1
+        last = len(doc["selected"]) - 1
+        with pytest.raises(
+            kq.SchemaViolationError, match=rf"selected\[{last}\]: field 'index'"
+        ):
+            kq.parse_selection_document(json.dumps(doc), bruce if with_graph else None)
+
     def test_entropy_drift_detected(self, bruce):
         result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
         doc = json.loads(kq.emit_selection(result, bruce))
