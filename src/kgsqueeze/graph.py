@@ -171,7 +171,7 @@ def _derived(graph: ProbabilityGraph, name: str, build: Callable, *key: object):
     facts = graph.__dict__
     if key:
         facts = facts.setdefault(name, {})
-        name = key[0]
+        (name,) = key
     fact = facts.get(name)
     if fact is None:
         fact = facts.setdefault(name, build(graph, *key))
