@@ -1,8 +1,9 @@
 """Sweep harness: evaluate every strategy across a compression-ratio grid.
 
 For each ratio on the grid and each strategy, runs the selection and
-scores it (uncertainty directly, similarity against the built-in
-verbalizer's recovered text).  The random baseline is averaged over a
+scores it against the built-in verbalizer's recovered text with the
+scoring core ``similarity`` wraps, without rendering that text unless a
+selected surface is not plain.  The random baseline is averaged over a
 number of seeded runs; every run's seed is derived from (seed, grid
 index, run index) by numpy's ``SeedSequence`` mixing, computed in the
 package, so results depend on nothing but the arguments, not on an
@@ -18,7 +19,12 @@ from math import floor, fsum
 from ._rng import derive_seed
 from .graph import ProbabilityGraph
 from .io import RunRecord, SweepRow
-from .metrics import _check_phi, similarity, verbalize
+from .metrics import (
+    _check_phi,
+    _Tally,
+    similarity,  # unused here; benchmarks/tracing.py wraps this name
+    verbalize,  # unused here; benchmarks/tracing.py wraps this name
+)
 from .selection import STRATEGIES, SelectionConfig, _is_int, select
 
 #: Slack when deciding how many grid points a (from, to, step) span holds.
@@ -63,11 +69,16 @@ def run_sweep(
 ) -> tuple[list[SweepRow], list[RunRecord]]:
     """All strategies across the ratio grid; see the module docstring.
 
-    Each evaluation is one ``select``, ``verbalize`` and ``similarity``
-    call on ``graph``.  What they share is derived once per graph object
-    (see the ``graph`` module), so a deterministic evaluation takes a
-    prefix of its strategy's ordering and scores in one pass, and nothing
-    kept grows with the grid.
+    Each evaluation is one ``select`` on ``graph``, scored by its
+    strategy's tally (see ``metrics``): while the selection starts with
+    the tallied sequence, as a deterministic one does while its depth
+    limit holds, the tally is extended by the new indices only; otherwise,
+    and for every ``random`` run, a fresh tally scores the whole
+    selection.  SU is the selection's own.  Every figure is a function of
+    the selected sequence alone, so the rows are those of one
+    ``similarity`` call per evaluation.  What evaluations share is derived
+    once per graph object (see the ``graph`` module), and nothing kept
+    grows with the grid.
 
     Returns rows in (strategy, K) order and the individual
     random-baseline run records in (K, run index) order: strategies run
@@ -92,19 +103,18 @@ def run_sweep(
     records = []
     for strategy in sorted(STRATEGIES):
         seeded = strategy == "random"
+        tally = _Tally(graph)
         for grid_index, ratio in enumerate(grid):
             figures = []
             for run_index in range(runs if seeded else 1):
                 run_seed = derive_seed(seed, grid_index, run_index) if seeded else None
                 result = select(graph, SelectionConfig(ratio, depth, strategy, run_seed))
-                report = similarity(graph, result, verbalize(result, graph), phi)
-                run = (
-                    report.semantic_uncertainty,
-                    report.similarity,
-                    report.accuracy,
-                    report.completeness,
-                    report.theta,
-                )
+                prefix = tally.selected
+                if seeded or result.selected[:len(prefix)] != prefix:
+                    tally = _Tally(graph)
+                tally.extend(result.selected[len(tally.selected):])
+                acc, comp, theta, score, _ = tally.read(phi)
+                run = (result.semantic_uncertainty, score, acc, comp, theta)
                 figures.append(run)
                 if seeded:
                     records.append(RunRecord(ratio, run_index, run_seed, *run))

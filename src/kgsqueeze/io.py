@@ -38,7 +38,7 @@ from .errors import (
     SelectionMismatchError,
 )
 from .graph import Entity, ProbabilityGraph, _EntityIndex, _derived, _take, build_graph
-from .selection import SelectionConfig, SelectionResult, select
+from .selection import SelectionConfig, SelectionResult, _check_in_range, select
 
 SCHEMA_VERSION = 1
 
@@ -398,12 +398,7 @@ def _validate_against_graph(
     The header is checked first, then ``selected`` entry by entry, each
     against its replayed entry; only one replayed entry is held at a time.
     """
-    total = len(graph.heads)
-    for i in result.selected:
-        if i >= total:
-            raise SelectionMismatchError(
-                f"selected index {i} out of range for a graph of {total} quadruples"
-            )
+    _check_in_range(graph, result.selected)
     replay = select(graph, config)
     _match("", doc, _selection_header(replay))
     for n, (given, i) in enumerate(zip(doc["selected"], replay.selected)):

@@ -13,15 +13,19 @@ The recovered text is pluggable.  ``verbalize`` renders a deterministic
 one-sentence-per-quadruple stand-in; callers with an external recovery
 model (e.g. a generative one) pass its output instead.
 
-What depends on the graph alone is derived once per graph object (see
-the ``graph`` module): each quadruple's sentence, and per case mode the
+There is one scoring core, a tally over a growing sequence of selected
+indices, and ``similarity`` wraps it; a sweep extends one tally per
+strategy while each selection starts with the previous one.  What
+depends on the graph alone is derived once per graph object (see the
+``graph`` module): each quadruple's sentence, and per case mode the
 normalized original text, every entity's normalized surface and, per
-entity first selected, one record of its surface, its count in the
-original text and whether the surface is plain (see ``similarity``).  A
-scoring then reads one record per selected entity and sums as it goes;
-it counts only in the recovered text, and not even there for a plain
+entity first tallied, one record of its surface, its count in the
+original text and whether the surface is plain (see ``similarity``).
+A tally keeps each entity's incidence and running integer sums; it
+counts only in the recovered text, and not even there for a plain
 surface when the text is ``verbalize``'s own: its count is then how
-often its entity is a selected endpoint.
+often its entity is a selected endpoint, and no text is rendered unless
+a selected surface is not plain.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import fsum
 
 from .errors import InvalidPhiError
 from .graph import ProbabilityGraph, _EntityIndex, _derived, _take
-from .selection import SelectionResult, _is_int
+from .selection import SelectionResult, _check_in_range, _is_int
 
 #: Default accuracy/completeness weight: both contribute equally.
 DEFAULT_PHI = 0.5
@@ -88,7 +92,10 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     selection order, joined by single spaces.  Deterministic by
     construction, so reports built on it are reproducible.  A quadruple's
     sentence is rendered on its first use and kept on the graph object.
+    A selected index at or past the graph's end raises
+    SelectionMismatchError.
     """
+    _check_in_range(graph, result.selected)
     return " ".join(_sentences(graph, result.selected))
 
 
@@ -113,9 +120,9 @@ def _scoring_facts(
     """The normalized original text, every entity's normalized surface by
     id, those surfaces joined by newlines, the normalized relation labels
     framed by newlines and as a set, and the entity records, a map
-    ``similarity`` fills one entity at a time with (surface, count in the
+    ``_Tally`` fills one entity at a time with (surface, count in the
     original text, whether the surface is plain), the flag ``None`` until
-    a verbalization is scored.
+    a verbalization is tallied.
     """
     surfaces = {e.id: _normalize(e.surface, case_insensitive) for e in graph.entities}
     labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
@@ -169,6 +176,101 @@ def _check_phi(phi: object) -> None:
         raise InvalidPhiError(f"phi must be in [0, 1], got {phi!r}")
 
 
+class _Tally:
+    """The one scoring core: a tally over a growing sequence of selected
+    indices, which ``similarity`` wraps and a sweep extends.
+
+    It keeps each selected entity's incidence (how often it is a selected
+    head or tail) in first-seen order, and running integer sums.  A tally
+    of the built-in verbalization (``verbalized``) takes a plain surface's
+    incidence as its recovered count; the other surfaces, and every
+    surface of an external text, are counted in the text when ``read``.
+    Every figure is a function of the sequence alone, so extending a
+    tally by a suffix gives what tallying the whole sequence gives.
+    """
+
+    def __init__(
+        self,
+        graph: ProbabilityGraph,
+        case_insensitive: bool = False,
+        verbalized: bool = True,
+    ) -> None:
+        self.graph = graph
+        self.case_insensitive = case_insensitive
+        self.verbalized = verbalized
+        self.facts = _derived(graph, "_scoring_facts", _scoring_facts, case_insensitive)
+        #: The graph's entity records for this case mode (see ``_scoring_facts``).
+        self.records = self.facts[5]
+        self.selected: tuple[int, ...] = ()
+        self.incidence: dict[str, int] = {}
+        #: Entities counted in the text when read, in first-seen order.
+        self.scanned: list[str] = []
+        self.shared = self.original = self.recovered = 0
+
+    def extend(self, indices: Sequence[int]) -> None:
+        """Append ``indices`` to the tallied sequence."""
+        graph = self.graph
+        original, surfaces, joined, labels, label_set, records = self.facts
+        verbalized = self.verbalized
+        incidence, scanned = self.incidence, self.scanned
+        shared, in_original_total, recovered = self.shared, self.original, self.recovered
+        added = Counter(chain.from_iterable(
+            zip(_take(graph.heads, indices), _take(graph.tails, indices))
+        ))
+        for entity_id, more in added.items():
+            record = records.get(entity_id)
+            if record is None or verbalized and record[2] is None:
+                surface = surfaces[entity_id]
+                record = records[entity_id] = (
+                    surface,
+                    original.count(surface) if record is None else record[1],
+                    _is_plain(surface, joined, labels, label_set) if verbalized else None,
+                )
+            _, in_original, plain = record
+            before = incidence.get(entity_id, 0)
+            incidence[entity_id] = now = before + more
+            if not before:
+                in_original_total += in_original
+                if not (verbalized and plain):
+                    scanned.append(entity_id)
+            if verbalized and plain:
+                # A plain surface's count in the verbalization is its incidence.
+                recovered += more
+                if before < in_original:
+                    shared += (now if now < in_original else in_original) - before
+        self.shared, self.original, self.recovered = shared, in_original_total, recovered
+        self.selected += tuple(indices)
+
+    def read(
+        self, phi: float, recovered_text: str | None = None
+    ) -> tuple[float, float, float, float, dict[str, tuple[int, int]]]:
+        """Accuracy, completeness, theta and the similarity score, and the
+        (original, recovered) counts of each entity counted in the text.
+
+        ``recovered_text`` None stands for the verbalization, rendered
+        only when a surface must be counted in it.
+        """
+        shared, recovered = self.shared, self.recovered
+        counts = {}
+        if self.scanned:
+            if recovered_text is None:
+                recovered_text = " ".join(_sentences(self.graph, self.selected))
+            text = _normalize(recovered_text, self.case_insensitive)
+            records = self.records
+            for entity_id in self.scanned:
+                surface, in_original, _ = records[entity_id]
+                in_recovered = text.count(surface)
+                counts[entity_id] = (in_original, in_recovered)
+                shared += min(in_original, in_recovered)
+                recovered += in_recovered
+        acc = shared / recovered if recovered else 0.0
+        comp = shared / self.original if self.original else 0.0
+        theta = fsum(_take(self.graph.top_probabilities, self.selected))
+        denominator = phi * acc + (1.0 - phi) * comp
+        score = theta * acc * comp / denominator if denominator > 0.0 else 0.0
+        return acc, comp, theta, score, counts
+
+
 def similarity(
     graph: ProbabilityGraph,
     result: SelectionResult,
@@ -191,7 +293,8 @@ def similarity(
     selection.  phi, an int or a float in [0, 1], steers the weighting:
     phi = 1 reduces the score to theta * C, phi = 0 to theta * A.  The
     score is 0 whenever the denominator is.  Any other phi raises
-    InvalidPhiError.
+    InvalidPhiError, and a selected index at or past the graph's end
+    SelectionMismatchError.
 
     When ``recovered_text`` equals ``verbalize(result, graph)``, a plain
     surface is not searched for: it occurs there once per selected
@@ -209,51 +312,25 @@ def similarity(
     dict on every call.
     """
     _check_phi(phi)
-    original, surfaces, joined, labels, label_set, records = _derived(
-        graph, "_scoring_facts", _scoring_facts, case_insensitive
-    )
     selected = result.selected
+    _check_in_range(graph, selected)
     # Cheap necessary test first: the verbalization ends with the last sentence.
     verbalized = (
         not selected or recovered_text.endswith(_sentences(graph, selected[-1:])[0])
     ) and recovered_text == verbalize(result, graph)
-    recovered = None
-    endpoints = Counter(chain.from_iterable(
-        zip(_take(graph.heads, selected), _take(graph.tails, selected))
-    ))
-    counts = {}
-    shared = original_total = recovered_total = 0
-    for entity_id, incidence in endpoints.items():
-        record = records.get(entity_id)
-        if record is None:
-            surface = surfaces[entity_id]
-            record = records[entity_id] = (surface, original.count(surface), None)
-        surface, in_original, plain = record
-        if verbalized and plain is None:
-            plain = _is_plain(surface, joined, labels, label_set)
-            records[entity_id] = (surface, in_original, plain)
-        if verbalized and plain:
-            in_recovered = incidence
-        else:
-            if recovered is None:
-                recovered = _normalize(recovered_text, case_insensitive)
-            in_recovered = recovered.count(surface)
-        counts[entity_id] = (in_original, in_recovered)
-        shared += min(in_original, in_recovered)
-        original_total += in_original
-        recovered_total += in_recovered
-    acc = shared / recovered_total if recovered_total else 0.0
-    comp = shared / original_total if original_total else 0.0
-    uncertainty = fsum(_take(graph.entropies, selected))
-    theta = fsum(_take(graph.top_probabilities, selected))
-    denominator = phi * acc + (1.0 - phi) * comp
-    score = theta * acc * comp / denominator if denominator > 0.0 else 0.0
+    tally = _Tally(graph, case_insensitive, verbalized)
+    tally.extend(selected)
+    acc, comp, theta, score, scanned = tally.read(phi, recovered_text)
+    records = tally.records
     return MetricsReport(
-        semantic_uncertainty=uncertainty,
+        semantic_uncertainty=fsum(_take(graph.entropies, selected)),
         accuracy=acc,
         completeness=comp,
         theta=theta,
         similarity=score,
         phi=phi,
-        entity_counts=counts,
+        entity_counts={
+            entity_id: scanned.get(entity_id) or (records[entity_id][1], incidence)
+            for entity_id, incidence in tally.incidence.items()
+        },
     )

@@ -30,7 +30,7 @@ from math import floor, fsum, inf, isfinite, isinf, log2
 
 from ._rng import sample_indices
 from .distance import DistanceTable, all_distances, select_initial_node
-from .errors import EmptyGraphError, MissingSeedError
+from .errors import EmptyGraphError, MissingSeedError, SelectionMismatchError
 from .graph import ProbabilityGraph, _derived, _endpoint_counts, _take
 
 #: Entropy-greedy selection (the default) plus the five baselines.
@@ -109,6 +109,17 @@ class SelectionResult:
     ratio: float
     strategy: str
     seed: int | None = None
+
+
+def _check_in_range(graph: ProbabilityGraph, selected: Sequence[int]) -> None:
+    """Raise SelectionMismatchError naming the first selected index at or
+    past the graph's end, if there is one."""
+    total = len(graph.heads)
+    if selected and max(selected) >= total:
+        i = next(i for i in selected if i >= total)
+        raise SelectionMismatchError(
+            f"selected index {i} out of range for a graph of {total} quadruples"
+        )
 
 
 @dataclass(frozen=True)

@@ -124,11 +124,14 @@ class TestRunSweep:
         )
         assert records == again
 
-    def test_scoring_goes_through_the_module_names(self, hangzhou, monkeypatch):
-        # benchmarks/tracing.py times metrics.similarity and metrics.verbalize
-        # by patching these two names; every evaluation must call both.
+    def test_each_evaluation_selects_once_and_renders_no_text(
+        self, hangzhou, monkeypatch
+    ):
+        # A sweep scores each selection through its strategy's tally, not
+        # through similarity or verbalize; benchmarks/tracing.py still
+        # resolves both names on the module, where they stay unused.
         calls = Counter()
-        for name in ("similarity", "verbalize"):
+        for name in ("select", "similarity", "verbalize"):
             def counted(*args, _name=name, _original=getattr(experiments, name)):
                 calls[_name] += 1
                 return _original(*args)
@@ -138,7 +141,7 @@ class TestRunSweep:
         kq.run_sweep(hangzhou, runs=runs, seed=1)
         # The five other strategies run once per grid point, random `runs` times.
         evaluations = len(kq.ratio_grid(0.1, 1.0, 0.1)) * (5 + runs)
-        assert calls == {"similarity": evaluations, "verbalize": evaluations}
+        assert calls == {"select": evaluations}
 
     def test_runs_validation(self, hangzhou):
         with pytest.raises(ValueError):
@@ -241,3 +244,102 @@ class TestSweepCaches:
             expected = kq.run_sweep(graph, **sweep)
         assert len(fresh) == 20 * (5 + runs)
         assert cached == expected
+
+
+#: Surfaces whose counts in a verbalization can differ from their
+#: incidence: "Lee" lies inside "Bruce Lee", "1890.3.7" holds a dot and
+#: "Duke of York" holds the label "of" as a word.
+ODD_SURFACES = ("Lee", "Bruce Lee", "1890.3.7", "Duke of York")
+PLAIN_SURFACES = ("Ann", "Bob", "Cid", "Dee", "Eve")
+ORACLE_LABELS = ("of", "born on", "teacher of")
+
+
+@st.composite
+def oracle_graphs(draw):
+    """A graph whose spine is a path through the surfaces above, with
+    random extra links within it, mentions and confidences.  Two more
+    entities hang off its end without extra links, so some quadruple's
+    reach is at least 2 and a depth-0 sweep relaxes mid-grid; with an
+    island, K = 1 takes the disconnected fallback."""
+    plain = draw(st.integers(1, len(PLAIN_SURFACES)))
+    spine = draw(st.permutations(ODD_SURFACES + PLAIN_SURFACES[:plain]))
+    island = draw(st.booleans())
+    path = list(spine) + ["Ivy", "Jon"]
+    surfaces = path + (["Gus", "Hal"] if island else [])
+    pairs = list(zip(path, path[1:])) + ([("Gus", "Hal")] if island else [])
+    links = st.tuples(st.integers(0, len(spine) - 1), st.integers(1, len(spine) - 1))
+    pairs += [
+        (spine[i], spine[(i + step) % len(spine)])
+        for i, step in draw(st.lists(links, max_size=6))
+    ]
+    weights = st.lists(st.integers(1, 8), min_size=3, max_size=3)
+    candidates = []
+    for head, tail in pairs:
+        drawn = draw(weights)
+        confidences = {label: w / sum(drawn) for label, w in zip(ORACLE_LABELS, drawn)}
+        candidates.append((head, tail, confidences))
+    mentions = draw(st.lists(st.sampled_from(surfaces), max_size=20))
+    entities = [kq.Entity(surface, surface) for surface in surfaces]
+    text = " and ".join(mentions)
+    return kq.build_graph(text, ORACLE_LABELS, entities, candidates), island
+
+
+def replayed_sweep(graph, depth, runs, seed, phi):
+    """``run_sweep`` over the test grid, one public select, verbalize and
+    similarity per evaluation on a graph parsed afresh from ``graph``.
+
+    Each verbalization is scored as a text that normalizes the same but
+    is not the verbalization, so every surface is counted by scanning.
+    """
+    from kgsqueeze._rng import derive_seed
+
+    fresh = kq.parse_graph_document(kq.serialize_graph(graph))
+    rows, records = [], []
+    for strategy in sorted(kq.STRATEGIES):
+        seeded = strategy == "random"
+        for grid_index, ratio in enumerate(kq.ratio_grid(0.05, 1.0, 0.05)):
+            figures = []
+            for run_index in range(runs if seeded else 1):
+                run_seed = derive_seed(seed, grid_index, run_index) if seeded else None
+                config = kq.SelectionConfig(ratio, depth, strategy, run_seed)
+                result = kq.select(fresh, config)
+                text = kq.verbalize(result, fresh)
+                report = kq.similarity(fresh, result, text + "\n", phi)
+                assert kq.similarity(fresh, result, text, phi) == report
+                run = (report.semantic_uncertainty, report.similarity,
+                       report.accuracy, report.completeness, report.theta)
+                figures.append(run)
+                if seeded:
+                    records.append(kq.RunRecord(ratio, run_index, run_seed, *run))
+            means = [fsum(column) / len(figures) for column in zip(*figures)]
+            rows.append(kq.SweepRow(
+                ratio, strategy, *means,
+                result.quota, result.effective_depth, len(figures),
+            ))
+    return rows, records
+
+
+class TestSweepOracle:
+    """Every sweep row and record equals an independent replay of its
+    evaluations through the public functions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=oracle_graphs(),
+        depth=st.integers(0, 2),
+        runs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        phi=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    )
+    def test_rows_and_records_match_a_public_replay(self, drawn, depth, runs, seed, phi):
+        graph, island = drawn
+        swept = kq.run_sweep(
+            graph, k_from=0.05, k_to=1.0, k_step=0.05,
+            depth=depth, runs=runs, seed=seed, phi=phi,
+        )
+        assert swept == replayed_sweep(graph, depth, runs, seed, phi)
+        # The graphs exercise what the tally must get right.
+        if depth == 0:
+            assert len({row.effective_depth for row in swept[0]}) > 1
+        whole = kq.select(graph, kq.SelectionConfig(1.0, depth))
+        assert whole.disconnected_fallback == island

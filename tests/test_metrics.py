@@ -518,3 +518,85 @@ class TestScoringCaches:
         second = kq.similarity(graph, make_result([3]), "Chu Kochen")
         assert second.entity_counts == {"chu_kochen": (1, 1), "birth_date": (1, 0)}
         assert second.entity_counts is not first.entity_counts
+
+
+class TestSelectedIndexRange:
+    """A selection parsed without a graph can hold an index past its end."""
+
+    def test_index_past_the_graph_is_a_selection_mismatch(self, bruce):
+        import json
+
+        result = kq.select(bruce, kq.SelectionConfig(0.2, 9))
+        document = json.loads(kq.emit_selection(result, bruce))
+        document["selected"][-1]["index"] = 99
+        parsed = kq.parse_selection_document(json.dumps(document).encode())
+        assert parsed.selected == (0, 99)
+        message = "selected index 99 out of range for a graph of 10 quadruples"
+        with pytest.raises(kq.SelectionMismatchError) as raised:
+            kq.verbalize(parsed, bruce)
+        assert str(raised.value) == message
+        for text in ("", bruce.text):
+            with pytest.raises(kq.SelectionMismatchError) as raised:
+                kq.similarity(bruce, parsed, text)
+            assert str(raised.value) == message
+        with pytest.raises(kq.SelectionMismatchError) as raised:
+            kq.parse_selection_document(json.dumps(document).encode(), bruce)
+        assert str(raised.value) == message
+
+
+class TestTally:
+    """Extending the scoring core by a suffix gives what one pass over the
+    whole sequence gives, and what ``similarity`` reports."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["bruce", "hangzhou"]),
+        order=st.randoms(use_true_random=False),
+        size=st.integers(0, 10),
+        cuts=st.lists(st.integers(0, 10), max_size=3),
+        text=st.sampled_from([None, "original", "verbalized+newline"]),
+        case_insensitive=st.booleans(),
+        phi=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    # Hangzhou: "Zhejiang" lies inside "Zhejiang University"; "1890.3.7" is dotted.
+    @example(name="hangzhou", order=random.Random(0), size=8, cuts=[2, 5],
+             text=None, case_insensitive=False, phi=0.5)
+    def test_a_suffix_extends_the_whole(
+        self, name, order, size, cuts, text, case_insensitive, phi
+    ):
+        graph = fresh_fixture(name)
+        selected = list(range(len(graph.heads)))
+        order.shuffle(selected)
+        selected = tuple(selected[:size])
+        verbalized = kq.verbalize(make_result(selected), graph)
+        recovered = {
+            None: None, "original": graph.text, "verbalized+newline": verbalized + "\n"
+        }[text]
+        whole = metrics._Tally(graph, case_insensitive, recovered is None)
+        whole.extend(selected)
+        pieces = metrics._Tally(graph, case_insensitive, recovered is None)
+        start = 0
+        for cut in sorted(min(cut, len(selected)) for cut in cuts) + [len(selected)]:
+            pieces.extend(selected[start:cut])
+            start = cut
+        assert pieces.selected == whole.selected == selected
+        assert list(pieces.incidence.items()) == list(whole.incidence.items())
+        assert pieces.read(phi, recovered) == whole.read(phi, recovered)
+        acc, comp, theta, score, counts = pieces.read(phi, recovered)
+        report = kq.similarity(
+            graph, make_result(selected),
+            verbalized if recovered is None else recovered, phi, case_insensitive,
+        )
+        assert (report.accuracy, report.completeness, report.theta, report.similarity) == (
+            acc, comp, theta, score
+        )
+        assert list(report.entity_counts) == list(pieces.incidence)
+        # The verbalization counted by incidence equals it scanned.
+        scanned = kq.similarity(
+            graph, make_result(selected), verbalized + "\n", phi, case_insensitive
+        )
+        if recovered is None:
+            assert list(report.entity_counts.items()) == list(
+                scanned.entity_counts.items()
+            )
+            assert report == scanned
