@@ -21,7 +21,8 @@ print("recovered text (built-in verbalizer):")
 print(f"  {recovered}")
 print()
 
-report = kq.similarity(graph, result, recovered, phi=0.5)
+# No recovered text: score against the built-in verbalization above.
+report = kq.similarity(graph, result, phi=0.5)
 print(f"{'entity':<16} {'original':>8} {'recovered':>9}")
 for entity_id, (original, rec) in report.entity_counts.items():
     print(f"{entity_id:<16} {original:>8} {rec:>9}")
@@ -32,5 +33,5 @@ print(f"theta            = {report.theta:.4f}")
 print(f"similarity    SS = {report.similarity:.4f}  (phi = {report.phi})")
 print(f"uncertainty   SU = {report.semantic_uncertainty:.4f} bits")
 print()
-print("Swap in a generative model's output for `recovered` to score a")
+print("Pass a generative model's output as `recovered_text` to score a")
 print("real recovery; the arithmetic does not change.")

@@ -1,8 +1,8 @@
 """Sweep harness: evaluate every strategy across a compression-ratio grid.
 
 For each ratio on the grid and each strategy, runs the selection and
-scores it against the built-in verbalizer's recovered text with the
-scoring core ``similarity`` wraps, without rendering that text unless a
+scores it through the scoring core ``similarity`` wraps, with no text
+given: against the built-in verbalization, not rendered unless a
 selected surface is not plain.  The random baseline is averaged over a
 number of seeded runs; every run's seed is derived from (seed, grid
 index, run index) by numpy's ``SeedSequence`` mixing, computed in the

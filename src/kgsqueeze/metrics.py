@@ -9,9 +9,10 @@ completeness by the original counts, and the similarity score combines
 both in a weighted harmonic form scaled by the summed top-relation
 probabilities of the selection.
 
-The recovered text is pluggable.  ``verbalize`` renders a deterministic
+The recovered text is pluggable.  By default (``None``) it is the
+built-in verbalization, which ``verbalize`` renders as a deterministic
 one-sentence-per-quadruple stand-in; callers with an external recovery
-model (e.g. a generative one) pass its output instead.
+model (e.g. a generative one) pass its output as a ``str`` instead.
 
 There is one scoring core, a tally over a growing sequence of selected
 indices, and ``similarity`` wraps it; a sweep extends one tally per
@@ -23,9 +24,9 @@ entity first tallied, one record of its surface, its count in the
 original text and whether the surface is plain (see ``similarity``).
 A tally keeps each entity's incidence and running integer sums; it
 counts only in the recovered text, and not even there for a plain
-surface when the text is ``verbalize``'s own: its count is then how
-often its entity is a selected endpoint, and no text is rendered unless
-a selected surface is not plain.
+surface when no text is given: its count in the built-in verbalization
+is then how often its entity is a selected endpoint, and no text is
+rendered unless a selected surface is not plain.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ def verbalize(result: SelectionResult, graph: ProbabilityGraph) -> str:
     selection order, joined by single spaces.  Deterministic by
     construction, so reports built on it are reproducible.  A quadruple's
     sentence is rendered on its first use and kept on the graph object.
-    A selected index at or past the graph's end raises
-    SelectionMismatchError.
+    A selected index outside the graph raises SelectionMismatchError.
     """
     _check_in_range(graph, result.selected)
     return " ".join(_sentences(graph, result.selected))
@@ -122,7 +122,7 @@ def _scoring_facts(
     framed by newlines and as a set, and the entity records, a map
     ``_Tally`` fills one entity at a time with (surface, count in the
     original text, whether the surface is plain), the flag ``None`` until
-    a verbalization is tallied.
+    the built-in verbalization is tallied.
     """
     surfaces = {e.id: _normalize(e.surface, case_insensitive) for e in graph.entities}
     labels = [_normalize(label, case_insensitive) for label in graph.relation_set]
@@ -180,24 +180,26 @@ class _Tally:
     """The one scoring core: a tally over a growing sequence of selected
     indices, which ``similarity`` wraps and a sweep extends.
 
-    It keeps each selected entity's incidence (how often it is a selected
-    head or tail) in first-seen order, and running integer sums.  A tally
-    of the built-in verbalization (``verbalized``) takes a plain surface's
-    incidence as its recovered count; the other surfaces, and every
-    surface of an external text, are counted in the text when ``read``.
-    Every figure is a function of the sequence alone, so extending a
-    tally by a suffix gives what tallying the whole sequence gives.
+    The recovered text is fixed when the tally is made: ``None`` for the
+    built-in verbalization, or a ``str`` scored as given.  The tally keeps
+    each selected entity's incidence (how often it is a selected head or
+    tail) in first-seen order, and running integer sums.  Without a text,
+    a plain surface's incidence is its recovered count; the other
+    surfaces, and every surface of a given text, are counted in the text
+    when ``read``.  Every figure is a function of the sequence alone, so
+    extending a tally by a suffix gives what tallying the whole sequence
+    gives.
     """
 
     def __init__(
         self,
         graph: ProbabilityGraph,
         case_insensitive: bool = False,
-        verbalized: bool = True,
+        recovered_text: str | None = None,
     ) -> None:
         self.graph = graph
         self.case_insensitive = case_insensitive
-        self.verbalized = verbalized
+        self.recovered_text = recovered_text
         self.facts = _derived(graph, "_scoring_facts", _scoring_facts, case_insensitive)
         #: The graph's entity records for this case mode (see ``_scoring_facts``).
         self.records = self.facts[5]
@@ -211,7 +213,7 @@ class _Tally:
         """Append ``indices`` to the tallied sequence."""
         graph = self.graph
         original, surfaces, joined, labels, label_set, records = self.facts
-        verbalized = self.verbalized
+        verbalized = self.recovered_text is None
         incidence, scanned = self.incidence, self.scanned
         shared, in_original_total, recovered = self.shared, self.original, self.recovered
         added = Counter(chain.from_iterable(
@@ -242,17 +244,18 @@ class _Tally:
         self.selected += tuple(indices)
 
     def read(
-        self, phi: float, recovered_text: str | None = None
+        self, phi: float
     ) -> tuple[float, float, float, float, dict[str, tuple[int, int]]]:
         """Accuracy, completeness, theta and the similarity score, and the
         (original, recovered) counts of each entity counted in the text.
 
-        ``recovered_text`` None stands for the verbalization, rendered
-        only when a surface must be counted in it.
+        The built-in verbalization is rendered only when a surface must be
+        counted in it.
         """
         shared, recovered = self.shared, self.recovered
         counts = {}
         if self.scanned:
+            recovered_text = self.recovered_text
             if recovered_text is None:
                 recovered_text = " ".join(_sentences(self.graph, self.selected))
             text = _normalize(recovered_text, self.case_insensitive)
@@ -274,11 +277,13 @@ class _Tally:
 def similarity(
     graph: ProbabilityGraph,
     result: SelectionResult,
-    recovered_text: str,
+    recovered_text: str | None = None,
     phi: float = DEFAULT_PHI,
     case_insensitive: bool = False,
 ) -> MetricsReport:
-    """Full evaluation of a selection against a recovered text.
+    """Full evaluation of a selection against a recovered text: the
+    built-in verbalization when ``recovered_text`` is None, else the
+    given ``str`` as it is.
 
     Each distinct entity of the selected quadruples (heads and tails, in
     first-seen order) is counted in both whitespace-normalized texts, as
@@ -292,36 +297,36 @@ def similarity(
     where theta is the summed top-relation probabilities of the
     selection.  phi, an int or a float in [0, 1], steers the weighting:
     phi = 1 reduces the score to theta * C, phi = 0 to theta * A.  The
-    score is 0 whenever the denominator is.  Any other phi raises
-    InvalidPhiError, and a selected index at or past the graph's end
+    score is 0 whenever the denominator is.  A ``recovered_text`` that
+    is neither a ``str`` nor None raises TypeError before any work, any
+    other phi InvalidPhiError, and a selected index outside the graph
     SelectionMismatchError.
 
-    When ``recovered_text`` equals ``verbalize(result, graph)``, a plain
-    surface is not searched for: it occurs there once per selected
-    quadruple with its entity as head or tail, so that incidence is its
-    count, the same number counting gives.  A normalized surface is plain
-    when it holds no ".", lies inside no other entity's surface (two
-    entities with one surface are not plain) and no relation label, and
-    cannot straddle the space between a head and a label or a label and
-    a tail.  The recovered text is normalized only when a selected
-    surface is not plain, or the text is not the verbalization.
+    Without a ``recovered_text``, a plain surface is not searched for: it
+    occurs in the verbalization once per selected quadruple with its
+    entity as head or tail, so that incidence is its count, the same
+    number scanning ``verbalize(result, graph)`` gives.  A normalized
+    surface is plain when it holds no ".", lies inside no other entity's
+    surface (two entities with one surface are not plain) and no relation
+    label, and cannot straddle the space between a head and a label or a
+    label and a tail.  The verbalization is rendered and normalized only when a
+    selected surface is not plain.  A given text is always scanned, even
+    one equal to the verbalization, with the same report.
 
     The original text and each surface are normalized, and each entity's
     count in the original and whether its surface is plain are decided,
     once per graph object and case mode; ``entity_counts`` is a fresh
     dict on every call.
     """
+    if not (recovered_text is None or isinstance(recovered_text, str)):
+        kind = type(recovered_text).__name__
+        raise TypeError(f"recovered_text must be a str or None, got {kind}")
     _check_phi(phi)
     selected = result.selected
     _check_in_range(graph, selected)
-    # Cheap necessary test first: the verbalization ends with the last sentence.
-    verbalized = (
-        not selected or recovered_text.endswith(_sentences(graph, selected[-1:])[0])
-    ) and recovered_text == verbalize(result, graph)
-    tally = _Tally(graph, case_insensitive, verbalized)
+    tally = _Tally(graph, case_insensitive, recovered_text)
     tally.extend(selected)
-    acc, comp, theta, score, scanned = tally.read(phi, recovered_text)
-    records = tally.records
+    acc, comp, theta, score, scanned = tally.read(phi)
     return MetricsReport(
         semantic_uncertainty=fsum(_take(graph.entropies, selected)),
         accuracy=acc,
@@ -330,7 +335,7 @@ def similarity(
         similarity=score,
         phi=phi,
         entity_counts={
-            entity_id: scanned.get(entity_id) or (records[entity_id][1], incidence)
+            entity_id: scanned.get(entity_id) or (tally.records[entity_id][1], incidence)
             for entity_id, incidence in tally.incidence.items()
         },
     )

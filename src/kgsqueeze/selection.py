@@ -112,11 +112,11 @@ class SelectionResult:
 
 
 def _check_in_range(graph: ProbabilityGraph, selected: Sequence[int]) -> None:
-    """Raise SelectionMismatchError naming the first selected index at or
-    past the graph's end, if there is one."""
+    """Raise SelectionMismatchError naming the first selected index outside
+    [0, n) for a graph of n quadruples, if there is one."""
     total = len(graph.heads)
-    if selected and max(selected) >= total:
-        i = next(i for i in selected if i >= total)
+    if selected and (max(selected) >= total or min(selected) < 0):
+        i = next(i for i in selected if not 0 <= i < total)
         raise SelectionMismatchError(
             f"selected index {i} out of range for a graph of {total} quadruples"
         )

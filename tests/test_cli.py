@@ -563,11 +563,12 @@ class TestMetrics:
         assert capsys.readouterr().out == counted
 
     @pytest.mark.parametrize("mode", [[], ["--case-insensitive"]], ids=["cs", "ci"])
-    def test_recovered_text_renders_the_verbalization_only_when_it_may_match(
+    def test_recovered_text_is_scanned_and_no_sentence_is_rendered(
         self, tmp_path, capsys, monkeypatch, mode
     ):
-        # A text that does not end with the last selected sentence cannot be
-        # the verbalization, so similarity does not render it to compare.
+        # Every bruce surface is plain, so the default scoring renders no
+        # sentence, and a given text is scanned as it is, even the
+        # verbalization itself.
         sel = tmp_path / "sel.json"
         self.select_to(sel)
         graph = kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes())
@@ -582,15 +583,16 @@ class TestMetrics:
             assert main([*argv, "--recovered", str(tmp_path / name)]) == 0
             outputs[name] = capsys.readouterr().out
         calls = []
-        render = kq.metrics.verbalize
+        render = kq.metrics._sentence
         monkeypatch.setattr(
-            kq.metrics, "verbalize", lambda *args: calls.append(1) or render(*args)
+            kq.metrics, "_sentence", lambda *args: calls.append(args) or render(*args)
         )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == outputs["verbalized"]
         for name in texts:
-            calls.clear()
             assert main([*argv, "--recovered", str(tmp_path / name)]) == 0
             assert capsys.readouterr().out == outputs[name]
-            assert len(calls) == (name != "unrelated"), name
+        assert calls == []
 
     def test_non_finite_selection_figures_are_data_error(self, tmp_path, capsys):
         sel = tmp_path / "sel.json"

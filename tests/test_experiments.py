@@ -343,3 +343,41 @@ class TestSweepOracle:
             assert len({row.effective_depth for row in swept[0]}) > 1
         whole = kq.select(graph, kq.SelectionConfig(1.0, depth))
         assert whole.disconnected_fallback == island
+
+
+class TestRandomBaselineStatistics:
+    """The ``random`` rows agree with the exact mean of a uniform subset of
+    the pool, computed from the public distance functions alone."""
+
+    @pytest.mark.parametrize("name", ["bruce", "hangzhou"])
+    @pytest.mark.parametrize("depth", [0, 2, 9])
+    def test_rows_lie_within_four_standard_errors(self, request, name, depth):
+        graph = request.getfixturevalue(name)
+        runs = 100
+        rows, _ = kq.run_sweep(graph, depth=depth, runs=runs, seed=1)
+        d = kq.all_distances(graph, kq.select_initial_node(graph)).distance
+        reach = [max(d[h], d[t]) for h, t in zip(graph.heads, graph.tails)]
+        checked = 0
+        for row in rows:
+            if row.strategy != "random":
+                continue
+            pool = [i for i, r in enumerate(reach) if r <= row.effective_depth]
+            if len(pool) < row.H:  # the disconnected fallback: every index
+                pool = list(range(len(reach)))
+            for figure, column in (("SU", graph.entropies),
+                                   ("theta", graph.top_probabilities)):
+                values = [column[i] for i in pool]
+                size, mean = len(values), fsum(values) / len(values)
+                expected = row.H * mean
+                observed = getattr(row, figure)
+                if row.H == size:
+                    assert abs(observed - expected) <= 1e-9, (row, figure)
+                    continue
+                # Finite-population variance of an H-subset sum, over the runs.
+                variance = fsum((v - mean) ** 2 for v in values) / size
+                spread = row.H * variance * (size - row.H) / (size - 1) / runs
+                assert abs(observed - expected) <= max(4 * spread**0.5, 1e-9), (
+                    row, figure
+                )
+            checked += 1
+        assert checked == len(rows) // len(kq.STRATEGIES)

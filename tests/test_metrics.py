@@ -179,6 +179,55 @@ class TestVerbalizedCounts:
             )
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        surfaces=st.lists(VERBALIZED_SURFACE, min_size=2, max_size=5),
+        labels=st.lists(VERBALIZED_LABEL, min_size=2, max_size=3, unique=True),
+        edges=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
+            min_size=1, max_size=6,
+        ),
+    )
+    @example(surfaces=["Chu Kochen", "1890.3.7", "St. Louis"],
+             labels=["born on", "visited"], edges=[(0, 0, 0), (0, 1, 1)])
+    @example(surfaces=["Lee", "Bruce Lee", "of"], labels=["teacher of", "son"],
+             edges=[(1, 0, 0), (0, 0, 1), (2, 0, 0)])
+    @example(surfaces=["Ip Man", "Bruce Lee", "Man teacher", "of Bruce"],
+             labels=["teacher of", "student"], edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["x", "y", "x ab", "bc y"], labels=["abc", "d"],
+             edges=[(0, 0, 0), (2, 2, 1), (3, 0, 1)])
+    @example(surfaces=["p", "q", "p r q"], labels=["r", "s"],
+             edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["Hangzhou", "Hangzhou", "Zhejiang"],
+             labels=["capital", "sight"], edges=[(0, 1, 0), (1, 0, 1)])
+    @example(surfaces=["Chu Kochen", "1890 \t"], labels=["born on", "x"],
+             edges=[(0, 0, 0)])
+    @example(surfaces=["Straße", "STRASSE", "İstanbul", "i\u0307stanbul"],
+             labels=["ß", "SS"], edges=[(0, 0, 0), (2, 0, 1)])
+    @example(surfaces=["aa", "b", "a a", "aaa"], labels=["a", "aa"],
+             edges=[(0, 0, 0), (2, 0, 1), (3, 0, 0)])
+    def test_counts_without_a_text_match_a_scan(self, surfaces, labels, edges):
+        # No recovered text: plain surfaces are counted by incidence.
+        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+        n = len(surfaces)
+        candidates = []
+        for head, step, label in edges:  # the tail is never the head
+            head %= n
+            tail = (head + 1 + step % (n - 1)) % n
+            candidates.append((f"e{head}", f"e{tail}", {labels[label % len(labels)]: 1.0}))
+        graph = kq.build_graph("", labels, entities, candidates)
+        result = make_result(range(len(candidates)))
+        verbalized = kq.verbalize(result, graph)
+        for case_insensitive in (False, True):
+            report = kq.similarity(graph, result, None, 0.5, case_insensitive)
+            assert report.entity_counts == {
+                e: (0, scanned(verbalized, graph.entity(e).surface, case_insensitive))
+                for c in candidates for e in c[:2]
+            }
+            assert report == kq.similarity(
+                graph, result, verbalized, 0.5, case_insensitive
+            )
+
 class TestVerbalize:
     def test_sentence_shape(self, hangzhou):
         text = kq.verbalize(make_result([3]), hangzhou)
@@ -414,6 +463,44 @@ class TestScoringCaches:
                 phi, case_insensitive,
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        text=SCORING_TEXT,
+        surfaces=st.lists(SCORING_SURFACE, min_size=2, max_size=5),
+        selections=st.lists(
+            st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=3
+        ),
+        recovered=SCORING_TEXT,
+        shuffler=st.randoms(use_true_random=False),
+    )
+    def test_cached_verbalization_scorings_match_fresh_graphs(
+        self, text, surfaces, selections, recovered, shuffler
+    ):
+        # Scorings without a text, interleaved with scorings of a given text,
+        # read the plain flags and sentences kept on the graph; each equals a
+        # fresh graph's scoring and a scan of the verbalization.
+        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+        pairs = [(f"e{i}", f"e{i + 1}") for i in range(len(surfaces) - 1)]
+        candidates = [(h, t, {"r1": 1.0}) for h, t in pairs]
+        candidates += [(t, h, {"r2": 0.75, "r1": 0.25}) for h, t in pairs]
+        graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
+        calls = [
+            (make_result(dict.fromkeys(i % len(candidates) for i in selected)), *call)
+            for selected in selections
+            for call in [(None, False), (None, True), (recovered, False), (recovered, True)]
+        ]
+        shuffler.shuffle(calls)
+        for result, recovered_text, case_insensitive in calls:
+            fresh = dataclasses.replace(graph)
+            report = kq.similarity(graph, result, recovered_text, 0.3, case_insensitive)
+            assert report == kq.similarity(
+                fresh, result, recovered_text, 0.3, case_insensitive
+            )
+            if recovered_text is None:
+                assert report == kq.similarity(
+                    fresh, result, kq.verbalize(result, fresh), 0.3, case_insensitive
+                )
+
     def test_original_text_normalized_once_per_graph_and_case_mode(self, monkeypatch):
         calls = Counter()
         original = metrics._normalize
@@ -454,7 +541,7 @@ class TestScoringCaches:
         assert {text for text, _ in calls} <= per_graph
         result = kq.select(graph, kq.SelectionConfig(1.0, 2))
         verbalized = kq.verbalize(result, graph)
-        kq.similarity(graph, result, verbalized, case_insensitive=True)
+        kq.similarity(graph, result, None, case_insensitive=True)
         assert calls[verbalized, False] == calls[verbalized, True] == 0
 
         graph = fresh_fixture("hangzhou")
@@ -462,7 +549,7 @@ class TestScoringCaches:
         verbalized = kq.verbalize(result, graph)
         assert verbalized == "Chu Kochen born on 1890.3.7."
         for scorings in (1, 2):
-            report = kq.similarity(graph, result, verbalized)
+            report = kq.similarity(graph, result, None)
             assert calls[verbalized, False] == scorings
         assert report.entity_counts == {"chu_kochen": (1, 1), "birth_date": (1, 1)}
         records = graph.__dict__["_scoring_facts"][False][5]
@@ -486,7 +573,7 @@ class TestScoringCaches:
             "chu_kochen": ("Chu Kochen", 1, None),
             "birth_date": ("1890.3.7", 1, None),
         }
-        kq.similarity(graph, result, kq.verbalize(result, graph))
+        kq.similarity(graph, result, None)
         assert modes[False][5] == {
             "chu_kochen": ("Chu Kochen", 1, True),
             "birth_date": ("1890.3.7", 1, False),
@@ -543,6 +630,33 @@ class TestSelectedIndexRange:
             kq.parse_selection_document(json.dumps(document).encode(), bruce)
         assert str(raised.value) == message
 
+    def test_negative_index_is_a_selection_mismatch(self, bruce):
+        # A hand-built result; a negative index used to read from the end.
+        result = dataclasses.replace(
+            kq.select(bruce, kq.SelectionConfig(0.2, 2)), selected=(0, -1)
+        )
+        message = "selected index -1 out of range for a graph of 10 quadruples"
+        with pytest.raises(kq.SelectionMismatchError) as raised:
+            kq.verbalize(result, bruce)
+        assert str(raised.value) == message
+        for text in (None, "", bruce.text):
+            with pytest.raises(kq.SelectionMismatchError) as raised:
+                kq.similarity(bruce, result, text)
+            assert str(raised.value) == message
+
+
+class TestRecoveredTextType:
+    @pytest.mark.parametrize("text", [5, b"Bruce Lee", ["Bruce Lee"]])
+    def test_a_text_that_is_not_a_str_is_a_type_error(self, text):
+        graph = fresh_fixture("bruce")
+        result = kq.select(graph, kq.SelectionConfig(0.5, 2))
+        with pytest.raises(TypeError) as raised:
+            kq.similarity(graph, result, text)
+        assert str(raised.value) == (
+            f"recovered_text must be a str or None, got {type(text).__name__}"
+        )
+        assert "_scoring_facts" not in graph.__dict__  # refused before any work
+
 
 class TestTally:
     """Extending the scoring core by a suffix gives what one pass over the
@@ -572,20 +686,19 @@ class TestTally:
         recovered = {
             None: None, "original": graph.text, "verbalized+newline": verbalized + "\n"
         }[text]
-        whole = metrics._Tally(graph, case_insensitive, recovered is None)
+        whole = metrics._Tally(graph, case_insensitive, recovered)
         whole.extend(selected)
-        pieces = metrics._Tally(graph, case_insensitive, recovered is None)
+        pieces = metrics._Tally(graph, case_insensitive, recovered)
         start = 0
         for cut in sorted(min(cut, len(selected)) for cut in cuts) + [len(selected)]:
             pieces.extend(selected[start:cut])
             start = cut
         assert pieces.selected == whole.selected == selected
         assert list(pieces.incidence.items()) == list(whole.incidence.items())
-        assert pieces.read(phi, recovered) == whole.read(phi, recovered)
-        acc, comp, theta, score, counts = pieces.read(phi, recovered)
+        assert pieces.read(phi) == whole.read(phi)
+        acc, comp, theta, score, counts = pieces.read(phi)
         report = kq.similarity(
-            graph, make_result(selected),
-            verbalized if recovered is None else recovered, phi, case_insensitive,
+            graph, make_result(selected), recovered, phi, case_insensitive
         )
         assert (report.accuracy, report.completeness, report.theta, report.similarity) == (
             acc, comp, theta, score
