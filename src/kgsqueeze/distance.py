@@ -43,9 +43,7 @@ class DistanceTable:
 
     def max_finite(self) -> int:
         """Largest finite distance in the table (0 if only the source)."""
-        return max(
-            (d for d in self.distance.values() if not isinf(d)), default=0
-        )
+        return max(d for d in self.distance.values() if not isinf(d))
 
 
 def select_initial_node(graph: ProbabilityGraph) -> str:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
+import struct
+from math import fsum
 
 import numpy as np
 import pytest
@@ -20,6 +23,19 @@ def bruce() -> kq.ProbabilityGraph:
 @pytest.fixture(scope="session")
 def hangzhou() -> kq.ProbabilityGraph:
     return kq.parse_graph_document((FIXTURE_DIR / "hangzhou.json").read_bytes())
+
+
+def float32_document(path: pathlib.Path) -> bytes:
+    """The graph document at ``path`` with every confidence rounded to
+    float32, as a float32 extractor would give it, written as
+    ``print(json.dumps(...))`` writes it."""
+    doc = json.loads(path.read_bytes())
+    for c in doc["candidates"]:
+        c["confidences"] = {label: struct.unpack("f", struct.pack("f", p))[0]
+                            for label, p in c["confidences"].items()}
+    sums = [fsum(c["confidences"].values()) for c in doc["candidates"]]
+    assert any(abs(total - 1.0) > 1e-12 for total in sums), sums
+    return (json.dumps(doc) + "\n").encode()
 
 
 def random_confidences(

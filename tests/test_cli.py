@@ -13,7 +13,7 @@ import pytest
 import kgsqueeze as kq
 from kgsqueeze.cli import _write_outputs, _write_stdout, main
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, float32_document
 
 BRUCE = str(FIXTURE_DIR / "bruce.json")
 HANGZHOU = str(FIXTURE_DIR / "hangzhou.json")
@@ -22,6 +22,30 @@ HANGZHOU = str(FIXTURE_DIR / "hangzhou.json")
 @pytest.fixture(autouse=True)
 def no_ambient_seed(monkeypatch):
     monkeypatch.delenv("KGSQUEEZE_SEED", raising=False)
+
+
+def select_from(document, named):
+    """A ``select`` of the graph ``document``, and what its one error names."""
+    def command(tmp_path):
+        graph = tmp_path / "bad.json"
+        graph.write_bytes(document)
+        return ["select", "--input", str(graph), "--k", "0.5", "--depth", "2",
+                "--output", str(tmp_path / "out")], named
+    return command
+
+
+def changed_last_relation(tmp_path):
+    """A ``metrics`` of a selection whose last entry names another relation."""
+    selection = tmp_path / "changed.json"
+    assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                 "--output", str(selection)]) == 0
+    doc = json.loads(selection.read_text())
+    doc["selected"][-1]["relation"] = "not the replayed relation"
+    selection.write_text(json.dumps(doc, indent=2))
+    last = len(doc["selected"]) - 1
+    return ["metrics", "--input", BRUCE, "--selection", str(selection)], (
+        f"selected[{last}] relation"
+    )
 
 
 class TestExitCodes:
@@ -110,6 +134,34 @@ class TestExitCodes:
             "error: not valid UTF-8: a string holds the lone surrogate '\\ud800'\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            select_from(b'''{"schema_version": 1, "text": "a b",
+  "relation_set": ["r1", "r2"],
+  "entities": [{"id": "a", "surface": "a"}, {"id": "b", "surface": "b"}],
+  "candidates": [{"head": "a", "tail": "b", "confidences": {"r1": "0.5"}}]}''',
+                        "confidence for 'r1' must be a number"),
+            # Both confidences are out of range; the first in map order is named.
+            select_from(b'''{"schema_version": 1, "text": "a b",
+  "relation_set": ["r1", "r2"],
+  "entities": [{"id": "a", "surface": "a"}, {"id": "b", "surface": "b"}],
+  "candidates": [{"head": "a", "tail": "b",
+    "confidences": {"r2": 1.5, "r1": -0.5}}]}''', "'r2'"),
+            # The replay is checked one entry at a time; the last is still named.
+            changed_last_relation,
+        ],
+        ids=["string_confidence", "two_bad_confidences", "changed_last_relation"],
+    )
+    def test_one_fault_is_one_error_line_and_writes_nothing(self, capsys, tmp_path, command):
+        argv, named = command(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_too_fine_grid_is_usage(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
@@ -316,7 +368,10 @@ class TestSelect:
                      "--depth", "2", "--output", str(out)])
         assert code == 0
         graph = kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes())
-        result = kq.parse_selection_document(out.read_bytes(), graph)
+        data = out.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=2, ensure_ascii=False)
+                        + "\n").encode("utf-8")
+        result = kq.parse_selection_document(data, graph)
         assert result.selected == (0, 1, 2, 3, 4)
         err = capsys.readouterr().err
         assert "SU=3.92972569" in err
@@ -388,23 +443,34 @@ class TestSelect:
                      "--depth", "9"]) == 0
         assert "seed=" not in capsys.readouterr().err
 
-    def test_normalization_warnings_echoed(self, tmp_path, capsys):
-        doc = {
-            "schema_version": 1,
-            "text": "a b",
-            "relation_set": ["r1", "r2"],
-            "entities": [{"id": "a", "surface": "a"},
-                         {"id": "b", "surface": "b"}],
-            "candidates": [
-                {"head": "a", "tail": "b",
-                 "confidences": {"r1": 0.6, "r2": 0.35}}
-            ],
-        }
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(doc))
-        assert main(["select", "--input", str(path), "--k", "1.0",
-                     "--depth", "1", "--output", str(tmp_path / "s.json")]) == 0
-        assert "warning:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "document, warnings",
+        [
+            (json.dumps({
+                "schema_version": 1,
+                "text": "a b",
+                "relation_set": ["r1", "r2"],
+                "entities": [{"id": "a", "surface": "a"},
+                             {"id": "b", "surface": "b"}],
+                "candidates": [
+                    {"head": "a", "tail": "b",
+                     "confidences": {"r1": 0.6, "r2": 0.35}}
+                ],
+            }).encode(), 1),
+            # Sums about 1e-8 off 1 lie within the silent band: each map is
+            # renormalized and no warning is written.
+            (float32_document(FIXTURE_DIR / "bruce.json"), 0),
+        ],
+        ids=["drifting", "float32"],
+    )
+    def test_normalization_warnings_echoed(self, tmp_path, capsys, document, warnings):
+        path, sel = tmp_path / "g.json", tmp_path / "s.json"
+        path.write_bytes(document)
+        assert main(["select", "--input", str(path), "--k", "0.5", "--depth", "2",
+                     "--output", str(sel)]) == 0
+        assert main(["metrics", "--input", str(path), "--selection", str(sel)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("warning:") for line in lines) == 2 * warnings
 
     def test_huge_integer_confidence_is_data_error(self, tmp_path, capsys):
         text = (FIXTURE_DIR / "bruce.json").read_text(encoding="utf-8")
@@ -505,7 +571,9 @@ class TestMetrics:
         capsys.readouterr()
         assert main(["metrics", "--input", BRUCE,
                      "--selection", str(sel)]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
         assert set(doc) == {"SU", "A", "C", "theta", "SS", "phi", "H",
                             "entity_counts"}
         assert doc["H"] == 5
@@ -545,22 +613,24 @@ class TestMetrics:
     def test_verbalization_scores_the_same_counted_or_scanned(
         self, tmp_path, capsys, name, mode
     ):
-        # The built-in verbalization counts plain surfaces by incidence; the
-        # same text plus a newline is not the verbalization, so it is scanned.
+        # Without a text, plain surfaces are counted by incidence; a given
+        # text is scanned as it is: the verbalization, and it plus a newline.
         graph_path = FIXTURE_DIR / f"{name}.json"
         sel = tmp_path / "sel.json"
         assert main(["select", "--input", str(graph_path), "--k", "1.0",
                      "--depth", "2", "--output", str(sel)]) == 0
         graph = kq.parse_graph_document(graph_path.read_bytes())
         result = kq.parse_selection_document(sel.read_bytes(), graph)
+        verbalized = kq.verbalize(result, graph)
         recovered = tmp_path / "rec.txt"
-        recovered.write_bytes((kq.verbalize(result, graph) + "\n").encode())
         capsys.readouterr()
         base = ["metrics", "--input", str(graph_path), "--selection", str(sel), *mode]
         assert main(base) == 0
         counted = capsys.readouterr().out
-        assert main([*base, "--recovered", str(recovered)]) == 0
-        assert capsys.readouterr().out == counted
+        for text in (verbalized, verbalized + "\n"):
+            recovered.write_bytes(text.encode())
+            assert main([*base, "--recovered", str(recovered)]) == 0
+            assert capsys.readouterr().out == counted
 
     @pytest.mark.parametrize("mode", [[], ["--case-insensitive"]], ids=["cs", "ci"])
     def test_recovered_text_is_scanned_and_no_sentence_is_rendered(
@@ -682,8 +752,7 @@ class TestBudget:
 
     def test_textbook_capacity(self, capsys):
         assert main(self.BASE + ["--graph-size", "10"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc == {"H": 5, "K": 0.5}
+        assert capsys.readouterr().out == '{\n  "H": 5,\n  "K": 0.5\n}\n'
 
     def test_zero_power_notes_nothing_transmittable(self, capsys):
         argv = list(self.BASE) + ["--graph-size", "10"]
@@ -804,8 +873,8 @@ class TestInstalledEntryPoint:
 
 
 class TestWithoutNumpy:
-    """numpy is a test dependency only: the CLI, the random strategy included,
-    runs and prints the same bytes where it cannot be imported."""
+    """numpy is a test dependency only: every command, the random strategy
+    included, runs and prints the same bytes where it cannot be imported."""
 
     SCRIPT = (
         "import sys\n"
@@ -820,23 +889,45 @@ class TestWithoutNumpy:
         [
             ["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
              "--strategy", "random", "--seed", "7", "--output", "OUT"],
-            ["sweep", "--input", BRUCE, "--seed", "1", "--runs", "2",
-             "--output", "OUT"],
+            ["sweep", "--input", BRUCE, "--seed", "1", "--runs", "3",
+             "--output", "OUT", "--dump-runs", "RUNS"],
+            ["metrics", "--input", BRUCE, "--selection", "SELECTION"],
+            ["metrics", "--input", BRUCE, "--selection", "SELECTION",
+             "--case-insensitive"],
+            ["metrics", "--input", BRUCE, "--selection", "SELECTION",
+             "--recovered", "RECOVERED"],
+            TestBudget.BASE + ["--graph-size", "10"],
         ],
-        ids=["select-random", "sweep"],
+        ids=["select-random", "sweep", "metrics", "metrics-case-insensitive",
+             "metrics-recovered", "budget"],
     )
     def test_same_bytes_as_in_process(self, tmp_path, capsys, argv):
-        def with_output(path):
-            return [str(path) if a == "OUT" else a for a in argv]
+        selection, recovered = tmp_path / "sel.json", tmp_path / "recovered.txt"
+        assert main(["select", "--input", BRUCE, "--k", "0.5", "--depth", "2",
+                     "--output", str(selection)]) == 0
+        recovered.write_bytes(b"Bruce  Lee\tbruce lee Ip Man\n")
+        capsys.readouterr()
 
-        isolated, in_process = tmp_path / "isolated.out", tmp_path / "in-process.out"
+        def run_in(name):
+            """The directory the outputs go to, and argv with every name filled in."""
+            directory = tmp_path / name
+            directory.mkdir()
+            paths = {"SELECTION": selection, "RECOVERED": recovered,
+                     "OUT": directory / "out", "RUNS": directory / "runs"}
+            return directory, [str(paths.get(a, a)) for a in argv]
+
+        def written(directory):
+            return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+        isolated, isolated_argv = run_in("isolated")
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *with_output(isolated)],
+            [sys.executable, "-c", self.SCRIPT, *isolated_argv],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert main(with_output(in_process)) == 0
+        in_process, in_process_argv = run_in("in-process")
+        assert main(in_process_argv) == 0
         captured = capsys.readouterr()
-        assert (proc.stdout, proc.stderr, isolated.read_bytes()) == (
-            captured.out, captured.err, in_process.read_bytes()
+        assert (proc.stdout, proc.stderr, written(isolated)) == (
+            captured.out, captured.err, written(in_process)
         )

@@ -14,11 +14,13 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
 from kgsqueeze.cli import main
+
+from conftest import FIXTURE_DIR, float32_document
 
 
 @st.composite
@@ -103,6 +105,10 @@ def test_columns_match_the_dense_oracle(built):
 
 @settings(max_examples=40, deadline=None)
 @given(graphs())
+@example(built=(kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes()), None))
+@example(built=(kq.parse_graph_document((FIXTURE_DIR / "hangzhou.json").read_bytes()), None))
+# Every sum renormalized: float32 confidences lie about 1e-8 off 1.
+@example(built=(kq.parse_graph_document(float32_document(FIXTURE_DIR / "bruce.json")), None))
 def test_round_trips_keep_the_columns(built):
     graph, _ = built
     again = kq.parse_graph_document(kq.serialize_graph(graph))

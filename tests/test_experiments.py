@@ -1,5 +1,6 @@
 """Ratio grid arithmetic and sweep determinism."""
 
+import dataclasses
 from collections import Counter
 from math import fsum
 
@@ -219,31 +220,10 @@ class TestSweepCaches:
     @example(seed=2, depth=0, runs=2, connected=False)  # relaxes, then falls back
     def test_rows_and_records_match_fresh_graphs(self, seed, depth, runs, connected):
         graph = random_graph(np.random.default_rng(seed), connected=connected)
-        document = kq.serialize_graph(graph)
-        fresh = []
-
-        # One build_graph per evaluation, shared by its select, verbalize
-        # and similarity only, so no cache outlives the evaluation.
-        def select(_, config):
-            fresh.append(kq.parse_graph_document(document))
-            return kq.select(fresh[-1], config)
-
-        def verbalize(result, _):
-            return kq.verbalize(result, fresh[-1])
-
-        def similarity(_, result, text, phi):
-            return kq.similarity(fresh[-1], result, text, phi)
-
-        sweep = dict(
-            k_from=0.05, k_to=1.0, k_step=0.05, depth=depth, runs=runs, seed=seed
+        swept = kq.run_sweep(
+            graph, k_from=0.05, k_to=1.0, k_step=0.05, depth=depth, runs=runs, seed=seed
         )
-        cached = kq.run_sweep(graph, **sweep)
-        with pytest.MonkeyPatch.context() as patch:
-            for function in (select, verbalize, similarity):
-                patch.setattr(experiments, function.__name__, function)
-            expected = kq.run_sweep(graph, **sweep)
-        assert len(fresh) == 20 * (5 + runs)
-        assert cached == expected
+        assert swept == replayed_sweep(graph, depth, runs, seed, 0.5)
 
 
 #: Surfaces whose counts in a verbalization can differ from their
@@ -284,28 +264,30 @@ def oracle_graphs(draw):
     return kq.build_graph(text, ORACLE_LABELS, entities, candidates), island
 
 
-def replayed_sweep(graph, depth, runs, seed, phi):
-    """``run_sweep`` over the test grid, one public select, verbalize and
-    similarity per evaluation on a graph parsed afresh from ``graph``.
+def replayed_sweep(graph, depth, runs, seed, phi, grid=(0.05, 1.0, 0.05)):
+    """``run_sweep`` over ``grid``, one public select, verbalize and
+    similarity per evaluation on a fresh copy of ``graph``, which holds
+    nothing derived before that evaluation.
 
-    Each verbalization is scored as a text that normalizes the same but
-    is not the verbalization, so every surface is counted by scanning.
+    Each selection is scored by scanning its verbalization, as given and
+    plus a newline, and by incidence with no text given: all three agree.
     """
     from kgsqueeze._rng import derive_seed
 
-    fresh = kq.parse_graph_document(kq.serialize_graph(graph))
     rows, records = [], []
     for strategy in sorted(kq.STRATEGIES):
         seeded = strategy == "random"
-        for grid_index, ratio in enumerate(kq.ratio_grid(0.05, 1.0, 0.05)):
+        for grid_index, ratio in enumerate(kq.ratio_grid(*grid)):
             figures = []
             for run_index in range(runs if seeded else 1):
+                fresh = dataclasses.replace(graph)
                 run_seed = derive_seed(seed, grid_index, run_index) if seeded else None
                 config = kq.SelectionConfig(ratio, depth, strategy, run_seed)
                 result = kq.select(fresh, config)
                 text = kq.verbalize(result, fresh)
                 report = kq.similarity(fresh, result, text + "\n", phi)
                 assert kq.similarity(fresh, result, text, phi) == report
+                assert kq.similarity(fresh, result, phi=phi) == report
                 run = (report.semantic_uncertainty, report.similarity,
                        report.accuracy, report.completeness, report.theta)
                 figures.append(run)
@@ -343,6 +325,15 @@ class TestSweepOracle:
             assert len({row.effective_depth for row in swept[0]}) > 1
         whole = kq.select(graph, kq.SelectionConfig(1.0, depth))
         assert whole.disconnected_fallback == island
+
+    @pytest.mark.parametrize("name", ["bruce", "hangzhou"])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_fixture_sweeps_match_a_public_replay(self, request, name, depth):
+        # As `sweep --runs 3 --seed 1`: the default grid, seed and phi.
+        graph = request.getfixturevalue(name)
+        rows, records = kq.run_sweep(graph, depth=depth, runs=3, seed=1)
+        assert records
+        assert (rows, records) == replayed_sweep(graph, depth, 3, 1, 0.5, grid=(0.1, 1.0, 0.1))
 
 
 class TestRandomBaselineStatistics:

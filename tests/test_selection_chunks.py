@@ -52,13 +52,39 @@ def chain_document(candidates: int) -> bytes:
     }, ensure_ascii=False).encode("utf-8")
 
 
+def odd_chain_document() -> bytes:
+    """A chain of 3,000 candidates whose surfaces and one relation label
+    hold }, {, ", \\ and a tab, written as ``print(json.dumps(...))``."""
+    hops = 375
+    odd = '}, {"\\\t'  # }, {, ", \ and a tab
+    near = f"près {odd} de"
+    entities = [{"id": f"e{n}", "surface": f"Entité {n} {odd}"} for n in range(hops + 1)]
+    return (json.dumps({
+        "schema_version": 1,
+        "text": " ".join(e["surface"] for e in entities),
+        "relation_set": [near, "après"],
+        "entities": entities,
+        "candidates": [
+            {"head": f"e{k % hops}", "tail": f"e{k % hops + 1}",
+             "confidences": {near: (k % 7 + 1) / 10, "après": (9 - k % 7) / 10}}
+            for k in range(3000)
+        ],
+    }) + "\n").encode()
+
+
 def stdlib_layout(data: bytes) -> bytes:
     return (json.dumps(json.loads(data), indent=2, ensure_ascii=False) + "\n").encode()
 
 
-@pytest.mark.parametrize("quota", [1, B - 1, B, B + 1, 2 * B + 1])
-def test_batch_boundaries_keep_the_stdlib_layout(tmp_path, capsys, quota):
-    document = chain_document(quota)
+QUOTAS = (1, B - 1, B, B + 1, 2 * B + 1)
+
+
+@pytest.mark.parametrize(
+    "document, quota",
+    [*((chain_document(q), q) for q in QUOTAS), (odd_chain_document(), 3000)],
+    ids=[*map(str, QUOTAS), "odd-3000"],
+)
+def test_batch_boundaries_keep_the_stdlib_layout(tmp_path, capsys, document, quota):
     graph = kq.parse_graph_document(document)
     result = kq.select(graph, kq.SelectionConfig(1.0, 2))
     assert result.quota == quota
