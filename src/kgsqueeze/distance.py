@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import inf, isinf
 
+from .errors import EmptyGraphError
 from .graph import Entity, ProbabilityGraph
 
 #: Explicit distance value for entities with no path to the source.
@@ -53,8 +54,11 @@ def select_initial_node(graph: ProbabilityGraph) -> str:
     Ties go to the entity appearing earlier in the text, i.e. the
     smallest ``first_token_index``; entities without a token index rank
     after those with one, and any remaining tie falls back to
-    declaration order in the entity table.
+    declaration order in the entity table.  A graph without entities
+    raises EmptyGraphError.
     """
+    if not graph.entities:
+        raise EmptyGraphError("cannot pick a central concept without entities")
     counts = graph.occurrence_counts()
 
     def key(pos_entity: tuple[int, Entity]) -> tuple[int, float, int]:

@@ -1,14 +1,18 @@
-"""Shared test fixtures: bundled graphs and random instance generators."""
+"""Shared test fixtures, random instance generators and the independent
+oracles that more than one test module compares with."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import struct
+from collections import Counter, deque
 from math import fsum
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import kgsqueeze as kq
 
@@ -85,10 +89,87 @@ def random_graph(
     return kq.build_graph(" ".join(surfaces), labels, entities, candidates)
 
 
+def make_result(selected) -> kq.SelectionResult:
+    """Hand-built selection for tests that bypass the selector."""
+    return kq.SelectionResult(
+        selected=tuple(selected),
+        quota=len(selected),
+        effective_depth=0,
+        semantic_uncertainty=0.0,
+        relaxation_steps=0,
+        disconnected_fallback=False,
+        ratio=1.0,
+        strategy="proposed",
+        seed=None,
+    )
+
+
+#: Texts and surfaces over a tiny alphabet, so overlaps, substrings,
+#: case differences and whitespace runs come up often.
+SCORING_TEXT = st.text(alphabet="aAb \t\n", max_size=30)
+SCORING_SURFACE = st.text(alphabet="aAb \t\n", min_size=1, max_size=6).filter(
+    lambda surface: surface.split()
+)
+
+
+def entropy_oracle(probabilities) -> float:
+    """Independent oracle: Shannon entropy in bits, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for p in probabilities:
+            if p > 0.0:
+                mp = mpmath.mpf(p)
+                total -= mp * mpmath.log(mp) / mpmath.log(2)
+        return float(total)
+
+
+def stdlib_layout(value) -> bytes:
+    """Independent oracle: ``value`` as ``json.dumps(indent=2)`` lays it
+    out, with a final newline, in UTF-8."""
+    return (json.dumps(value, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def scanned(text: str, surface: str, case_insensitive: bool) -> int:
+    """Independent oracle: non-overlapping occurrences of a surface in a
+    text, both whitespace-normalized and casefolded if asked."""
+    text, surface = (" ".join(s.split()) for s in (text, surface))
+    if case_insensitive:
+        text, surface = text.casefold(), surface.casefold()
+    return text.count(surface)
+
+
+def endpoint_slots(graph: kq.ProbabilityGraph) -> Counter[str]:
+    """Independent oracle: how many quadruple endpoint slots each entity fills."""
+    return Counter(graph.heads + graph.tails)
+
+
+def central_concept(graph: kq.ProbabilityGraph) -> str:
+    """Independent oracle: the entity filling the most endpoint slots; ties
+    go to the earliest first token, one without a token last, and then to
+    declaration order."""
+    slots = endpoint_slots(graph)
+
+    def rank(position: int) -> tuple:
+        entity = graph.entities[position]
+        token = entity.first_token_index
+        return (-slots[entity.id], token is None, token or 0, position)
+
+    return graph.entities[min(range(len(graph.entities)), key=rank)].id
+
+
+def within_depth(
+    graph: kq.ProbabilityGraph, distances: dict[str, float], depth: float
+) -> list[int]:
+    """Independent oracle: the indices, in input order, of the quadruples
+    whose head and tail both lie within ``depth`` in ``distances``."""
+    return [
+        i for i, (head, tail) in enumerate(zip(graph.heads, graph.tails))
+        if distances[head] <= depth and distances[tail] <= depth
+    ]
+
+
 def bfs_distances(graph: kq.ProbabilityGraph, source: str) -> dict[str, float]:
     """Independent oracle: breadth-first hop counts, ignoring direction."""
-    from collections import deque
-
     adjacency: dict[str, set[str]] = {e.id: set() for e in graph.entities}
     for q in graph.quadruples:
         adjacency[q.head].add(q.tail)

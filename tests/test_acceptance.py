@@ -11,14 +11,16 @@ import json
 import time
 from math import fsum, isinf
 
-import mpmath
 import numpy as np
 import pytest
 
 import kgsqueeze as kq
 from kgsqueeze.cli import main
 
-from conftest import FIXTURE_DIR, bfs_distances, random_confidences, random_graph
+from conftest import (
+    FIXTURE_DIR, bfs_distances, central_concept, entropy_oracle, random_confidences,
+    random_graph, within_depth,
+)
 
 BASELINES = tuple(s for s in kq.STRATEGIES if s != "proposed")
 K_GRID = [0.1 + 0.1 * i for i in range(10)]
@@ -47,16 +49,6 @@ def all_fixtures():
     ]
 
 
-def oracle_entropy(probabilities):
-    with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for p in probabilities:
-            if p > 0.0:
-                mp = mpmath.mpf(p)
-                total -= mp * mpmath.log(mp) / mpmath.log(2)
-        return float(total)
-
-
 def test_criterion_01_entropy_correctness(verdict):
     start = time.perf_counter()
     uniform = kq.RelationDistribution(
@@ -74,7 +66,7 @@ def test_criterion_01_entropy_correctness(verdict):
         conf = random_confidences(rng, labels)
         values = tuple(conf.get(label, 0.0) for label in labels)
         got = kq.relation_entropy(kq.RelationDistribution(labels, values))
-        worst = max(worst, abs(got - oracle_entropy(values)))
+        worst = max(worst, abs(got - entropy_oracle(values)))
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -150,8 +142,8 @@ def test_criterion_03_selection_optimality(verdict):
         result = kq.select(graph, config)
         if result.disconnected_fallback:
             continue
-        distances = kq.all_distances(graph, kq.select_initial_node(graph))
-        pool = kq.eligible(graph, distances, result.effective_depth)
+        distances = bfs_distances(graph, central_concept(graph))
+        pool = within_depth(graph, distances, result.effective_depth)
         if len(pool) > 20:
             continue
         largest_pool = max(largest_pool, len(pool))

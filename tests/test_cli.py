@@ -13,7 +13,7 @@ import pytest
 import kgsqueeze as kq
 from kgsqueeze.cli import _write_outputs, _write_stdout, main
 
-from conftest import FIXTURE_DIR, float32_document
+from conftest import FIXTURE_DIR, float32_document, stdlib_layout
 
 BRUCE = str(FIXTURE_DIR / "bruce.json")
 HANGZHOU = str(FIXTURE_DIR / "hangzhou.json")
@@ -369,8 +369,7 @@ class TestSelect:
         assert code == 0
         graph = kq.parse_graph_document((FIXTURE_DIR / "bruce.json").read_bytes())
         data = out.read_bytes()
-        assert data == (json.dumps(json.loads(data), indent=2, ensure_ascii=False)
-                        + "\n").encode("utf-8")
+        assert data == stdlib_layout(json.loads(data))
         result = kq.parse_selection_document(data, graph)
         assert result.selected == (0, 1, 2, 3, 4)
         err = capsys.readouterr().err
@@ -573,7 +572,7 @@ class TestMetrics:
                      "--selection", str(sel)]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
-        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert out.encode() == stdlib_layout(doc)
         assert set(doc) == {"SU", "A", "C", "theta", "SS", "phi", "H",
                             "entity_counts"}
         assert doc["H"] == 5

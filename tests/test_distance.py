@@ -58,6 +58,13 @@ class TestInitialNode:
         assert kq.select_initial_node(bruce) == "bruce_lee"
         assert kq.select_initial_node(hangzhou) == "hangzhou"
 
+    def test_graph_without_entities_is_an_empty_graph_error(self):
+        graph = kq.ProbabilityGraph("", ("a", "b"), ())
+        with pytest.raises(
+            kq.EmptyGraphError, match="^cannot pick a central concept without entities$"
+        ):
+            kq.select_initial_node(graph)
+
 
 class TestDistances:
     def test_direct_and_two_hop(self):

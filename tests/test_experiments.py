@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import kgsqueeze as kq
 from kgsqueeze import experiments
 
-from conftest import random_graph
+from conftest import bfs_distances, central_concept, random_graph, within_depth
 
 
 class TestRatioGrid:
@@ -48,6 +48,9 @@ class TestRatioGrid:
         assert len(kq.ratio_grid(1e-4, 1.0, 1e-4)) == cap
         with pytest.raises(ValueError, match="grid points"):
             kq.ratio_grid(1e-4, 1.0, 9.999e-5)  # cap + 1 points
+        # A span of exactly the cap once the slack is added, cap + 1 points.
+        with pytest.raises(ValueError, match="grid points"):
+            kq.ratio_grid(1e-4, 1.0, 9.999000000001e-05)
 
     def test_a_step_too_fine_to_tell_points_apart_is_refused(self):
         # 0.5 + 1 * 6e-17 and 0.5 + 2 * 6e-17 round to the same float, so
@@ -207,25 +210,6 @@ class TestRunSweep:
             assert abs(record.SS - record.theta * record.C) <= 1e-12
 
 
-class TestSweepCaches:
-    """A sweep on one graph object gives what a fresh graph per evaluation gives."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        depth=st.integers(0, 3),
-        runs=st.integers(1, 3),
-        connected=st.booleans(),
-    )
-    @example(seed=2, depth=0, runs=2, connected=False)  # relaxes, then falls back
-    def test_rows_and_records_match_fresh_graphs(self, seed, depth, runs, connected):
-        graph = random_graph(np.random.default_rng(seed), connected=connected)
-        swept = kq.run_sweep(
-            graph, k_from=0.05, k_to=1.0, k_step=0.05, depth=depth, runs=runs, seed=seed
-        )
-        assert swept == replayed_sweep(graph, depth, runs, seed, 0.5)
-
-
 #: Surfaces whose counts in a verbalization can differ from their
 #: incidence: "Lee" lies inside "Bruce Lee", "1890.3.7" holds a dot and
 #: "Duke of York" holds the label "of" as a word.
@@ -301,30 +285,55 @@ def replayed_sweep(graph, depth, runs, seed, phi, grid=(0.05, 1.0, 0.05)):
     return rows, records
 
 
+def random_graphs(seed, connected):
+    """``conftest.random_graph``, whose graphs carry no island flag."""
+    return random_graph(np.random.default_rng(seed), connected=connected), None
+
+
+#: One seed for a random graph and its sweep.
+GRAPH_SEED = st.shared(st.integers(0, 2**32 - 1), key="graph seed")
+
+
 class TestSweepOracle:
     """Every sweep row and record equals an independent replay of its
-    evaluations through the public functions."""
+    evaluations through the public functions, each on a fresh graph."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        drawn=oracle_graphs(),
-        depth=st.integers(0, 2),
-        runs=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-        phi=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    @pytest.mark.parametrize(
+        "graphs, seeds, depths, phis, examples, fixed",
+        [
+            (oracle_graphs(), st.integers(0, 2**32 - 1), st.integers(0, 2),
+             st.sampled_from([0.0, 0.25, 0.5, 1.0]), 100, []),
+            (st.builds(random_graphs, GRAPH_SEED, st.booleans()), GRAPH_SEED,
+             st.integers(0, 3), st.just(0.5), 30,
+             # Relaxes, then falls back.
+             [lambda: dict(drawn=random_graphs(2, False), seed=2, depth=0, runs=2,
+                           phi=0.5)]),
+        ],
+        ids=["oracle_graphs", "random_graph"],
     )
-    def test_rows_and_records_match_a_public_replay(self, drawn, depth, runs, seed, phi):
-        graph, island = drawn
-        swept = kq.run_sweep(
-            graph, k_from=0.05, k_to=1.0, k_step=0.05,
-            depth=depth, runs=runs, seed=seed, phi=phi,
-        )
-        assert swept == replayed_sweep(graph, depth, runs, seed, phi)
-        # The graphs exercise what the tally must get right.
-        if depth == 0:
-            assert len({row.effective_depth for row in swept[0]}) > 1
-        whole = kq.select(graph, kq.SelectionConfig(1.0, depth))
-        assert whole.disconnected_fallback == island
+    def test_rows_and_records_match_a_public_replay(
+        self, graphs, seeds, depths, phis, examples, fixed
+    ):
+        @settings(max_examples=examples, deadline=None)
+        @given(drawn=graphs, seed=seeds, depth=depths, runs=st.integers(1, 3), phi=phis)
+        def check(drawn, seed, depth, runs, phi):
+            graph, island = drawn
+            swept = kq.run_sweep(
+                graph, k_from=0.05, k_to=1.0, k_step=0.05,
+                depth=depth, runs=runs, seed=seed, phi=phi,
+            )
+            assert swept == replayed_sweep(graph, depth, runs, seed, phi)
+            if island is None:
+                return
+            # The oracle graphs exercise what the tally must get right.
+            if depth == 0:
+                assert len({row.effective_depth for row in swept[0]}) > 1
+            whole = kq.select(graph, kq.SelectionConfig(1.0, depth))
+            assert whole.disconnected_fallback == island
+
+        for case in fixed:
+            check = example(**case())(check)
+        check()
 
     @pytest.mark.parametrize("name", ["bruce", "hangzhou"])
     @pytest.mark.parametrize("depth", [0, 2])
@@ -338,7 +347,7 @@ class TestSweepOracle:
 
 class TestRandomBaselineStatistics:
     """The ``random`` rows agree with the exact mean of a uniform subset of
-    the pool, computed from the public distance functions alone."""
+    the pool, computed from the independent distance oracles alone."""
 
     @pytest.mark.parametrize("name", ["bruce", "hangzhou"])
     @pytest.mark.parametrize("depth", [0, 2, 9])
@@ -346,15 +355,14 @@ class TestRandomBaselineStatistics:
         graph = request.getfixturevalue(name)
         runs = 100
         rows, _ = kq.run_sweep(graph, depth=depth, runs=runs, seed=1)
-        d = kq.all_distances(graph, kq.select_initial_node(graph)).distance
-        reach = [max(d[h], d[t]) for h, t in zip(graph.heads, graph.tails)]
+        distances = bfs_distances(graph, central_concept(graph))
         checked = 0
         for row in rows:
             if row.strategy != "random":
                 continue
-            pool = [i for i, r in enumerate(reach) if r <= row.effective_depth]
+            pool = within_depth(graph, distances, row.effective_depth)
             if len(pool) < row.H:  # the disconnected fallback: every index
-                pool = list(range(len(reach)))
+                pool = list(range(len(graph.heads)))
             for figure, column in (("SU", graph.entropies),
                                    ("theta", graph.top_probabilities)):
                 values = [column[i] for i in pool]

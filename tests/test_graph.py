@@ -1,33 +1,26 @@
 """Graph construction and entropy scoring."""
 
 import dataclasses
-import json
+import itertools
 import math
 import pickle
+import random
 from collections import Counter
+from functools import partial
 from types import MappingProxyType
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
 from kgsqueeze.graph import SUM_TOLERANCE_BAND, SUM_WARN_TOLERANCE
 
-from conftest import random_confidences
-
-
-def entropy_oracle(probabilities) -> float:
-    """High-precision reference: 50-digit decimal arithmetic."""
-    with mpmath.workdps(50):
-        total = mpmath.mpf(0)
-        for p in probabilities:
-            if p > 0.0:
-                mp = mpmath.mpf(p)
-                total -= mp * mpmath.log(mp) / mpmath.log(2)
-        return float(total)
+from conftest import (
+    SCORING_SURFACE, SCORING_TEXT, entropy_oracle, make_result, random_confidences,
+    random_graph,
+)
 
 
 def two_entities():
@@ -38,26 +31,6 @@ def tiny_graph(confidences, labels=("r1", "r2", "r3")):
     return kq.build_graph(
         "a b", labels, two_entities(), [("a", "b", confidences)]
     )
-
-
-def error_on_both_paths(head, tail, confidences):
-    """The (class, message) that one bad candidate raises through
-    ``build_graph`` and through ``parse_graph_document``, which must agree."""
-    labels = ["r1", "r2", "r3"]
-    with pytest.raises(kq.KgsqueezeError) as built:
-        kq.build_graph("a b", labels, two_entities(), [(head, tail, confidences)])
-    document = {
-        "schema_version": 1,
-        "text": "a b",
-        "relation_set": labels,
-        "entities": [{"id": e.id, "surface": e.surface} for e in two_entities()],
-        "candidates": [{"head": head, "tail": tail, "confidences": confidences}],
-    }
-    with pytest.raises(kq.KgsqueezeError) as parsed:
-        kq.parse_graph_document(json.dumps(document).encode("utf-8"))
-    got = type(built.value), str(built.value)
-    assert (type(parsed.value), str(parsed.value)) == got
-    return got
 
 
 class TestRelationEntropy:
@@ -190,46 +163,6 @@ class TestBuildGraph:
             kq.BadDistributionError, match=r"unknown relation label\(s\) \['nope'\]$"
         ):
             tiny_graph({"r1": "0.5", "nope": 0.5})
-
-    @pytest.mark.parametrize(
-        "confidences, error, message",
-        [
-            ({"r3": 1.5, "r1": -0.5}, kq.BadDistributionError,
-             "confidence 1.5 for 'r3' outside [0, 1]"),
-            ({"r2": 1.5, "r1": "0.5"}, kq.BadDistributionError,
-             "confidence 1.5 for 'r2' outside [0, 1]"),
-            ({"r2": "0.5", "r1": -0.5}, kq.SchemaViolationError,
-             "confidence for 'r2' must be a number"),
-            ({"r1": 10**400, "r2": None}, kq.BadDistributionError,
-             "a confidence outside [0, 1]"),
-        ],
-        ids=["two_out_of_range", "out_of_range_then_non_number",
-             "non_number_then_out_of_range", "overflow_then_non_number"],
-    )
-    def test_first_bad_confidence_in_map_order_is_named(
-        self, confidences, error, message
-    ):
-        assert error_on_both_paths("a", "b", confidences) == (
-            error, f"candidate 0: {message}"
-        )
-
-    @pytest.mark.parametrize(
-        "head, tail, error, message",
-        [
-            (7, "b", kq.SchemaViolationError, "head must be a str, got int"),
-            ("ghost", "b", kq.UnknownEntityError, "unknown head entity 'ghost'"),
-            ("a", None, kq.SchemaViolationError, "tail must be a str, got NoneType"),
-            ("a", "ghost", kq.UnknownEntityError, "unknown tail entity 'ghost'"),
-            ("a", "a", kq.SelfLoopError, "head equals tail ('a')"),
-            ("ghost", 7, kq.UnknownEntityError, "unknown head entity 'ghost'"),
-        ],
-        ids=["non_str_head", "unknown_head", "non_str_tail", "unknown_tail",
-             "self_loop", "unknown_head_beats_non_str_tail"],
-    )
-    def test_endpoint_rules(self, head, tail, error, message):
-        assert error_on_both_paths(head, tail, {"r1": 1.0}) == (
-            error, f"candidate 0: {message}"
-        )
 
     @pytest.mark.parametrize(
         "given, plain",
@@ -525,6 +458,94 @@ class TestBuildGraph:
         }
 
 
+def selection_calls(seed):
+    """A random graph, often disconnected, and one ``select`` for each
+    quota, depth up to two past the deepest, and strategy."""
+    graph = random_graph(np.random.default_rng(seed))
+    total = len(graph.quadruples)
+    deepest = kq.all_distances(graph, kq.select_initial_node(graph)).max_finite()
+    configs = [
+        kq.SelectionConfig(target / total, max_depth, strategy, seed)
+        for target in range(1, total + 1)
+        for max_depth in range(deepest + 3)
+        for strategy in kq.STRATEGIES
+    ]
+    return graph, [(partial(kq.select, config=config),) for config in configs]
+
+
+def scoring_calls(text, surfaces, selections, recovered):
+    """A chain of overlapping, nested and case-variant surfaces with
+    whitespace runs, linked both ways, and for each selection its
+    verbalization and its scorings of each recovered text and of none, at
+    three phis in both case modes, and of the verbalization given as a
+    text.  Scoring no text also equals scanning the verbalization."""
+    entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
+    pairs = [(f"e{i}", f"e{i + 1}") for i in range(len(surfaces) - 1)]
+    candidates = [(h, t, {"r1": 1.0}) for h, t in pairs]
+    candidates += [(t, h, {"r2": 0.75, "r1": 0.25}) for h, t in pairs]
+    graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
+    calls = []
+    for selected in selections:
+        result = make_result(dict.fromkeys(i % len(candidates) for i in selected))
+        calls.append((partial(kq.verbalize, result),))
+        for given, phi, case_insensitive in itertools.product(
+            [*recovered, None], (0.0, 0.3, 1.0), (False, True)
+        ):
+            score = partial(kq.similarity, result=result, phi=phi,
+                            case_insensitive=case_insensitive)
+            if given is not None:
+                calls.append((partial(score, recovered_text=given),))
+                continue
+
+            def scan(graph, score=score, result=result):
+                return score(graph, recovered_text=kq.verbalize(result, graph))
+
+            calls += [(score, scan), (scan,)]
+    return graph, calls
+
+
+class TestDerivedFacts:
+    """Every derived fact is a function of the graph alone (see the ``graph``
+    module): calls on one graph object, in any order, give what they give
+    on a fresh copy."""
+
+    @pytest.mark.parametrize(
+        "build, drawn, examples, fixed",
+        [
+            (selection_calls, [st.integers(0, 2**32 - 1)], 20, []),
+            (
+                scoring_calls,
+                [
+                    SCORING_TEXT,
+                    st.lists(SCORING_SURFACE, min_size=2, max_size=5),
+                    st.lists(st.lists(st.integers(0, 9), max_size=5),
+                             min_size=1, max_size=3),
+                    st.lists(SCORING_TEXT, min_size=1, max_size=2),
+                ],
+                150,
+                [("aA a\ta  A a b", ["a", "A", "a a", "a\t\ta", "aA"],
+                  [[0, 1], [3, 2, 5]], ["A\n a aa"])],
+            ),
+        ],
+        ids=["select", "score"],
+    )
+    def test_calls_on_one_graph_match_fresh_graphs(self, build, drawn, examples, fixed):
+        @settings(max_examples=examples, deadline=None)
+        @given(st.builds(build, *drawn), st.randoms(use_true_random=False))
+        def check(scenario, shuffler):
+            graph, calls = scenario
+            shuffler.shuffle(calls)
+            for call, *equivalents in calls:
+                fresh = dataclasses.replace(graph)
+                got = call(graph)
+                for expected in (call, *equivalents):
+                    assert got == expected(fresh)
+
+        for args in fixed:
+            check = example(build(*args), random.Random(0))(check)
+        check()
+
+
 class TestFixtureEntropies:
     def test_bruce_entropy_column_is_frozen(self, bruce):
         expected = [
@@ -567,8 +588,6 @@ class TestFixtureEntropies:
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_random_graphs_build_and_score(seed):
-    from conftest import random_graph
-
     g = random_graph(np.random.default_rng(seed))
     for q in g.quadruples:
         assert 0.0 <= q.entropy <= math.log2(len(g.relation_set)) + 1e-12

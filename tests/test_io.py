@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import kgsqueeze as kq
 from kgsqueeze.io import _json_bytes, emit_run_records
 
-from conftest import FIXTURE_DIR, random_confidences
+from conftest import FIXTURE_DIR, random_confidences, stdlib_layout
 
 
 def fixture_bytes(name):
@@ -508,10 +508,6 @@ class TestSelectionReplay:
         message = f"'{field}' must be a number"
         with pytest.raises(kq.SchemaViolationError, match=message):
             kq.parse_selection_document(json.dumps(doc), graph)
-
-
-def stdlib_layout(value) -> bytes:
-    return (json.dumps(value, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 # Strings that could pass for layout: a newline, a quote, a backslash,

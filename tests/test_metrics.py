@@ -14,22 +14,9 @@ from hypothesis import strategies as st
 import kgsqueeze as kq
 from kgsqueeze import metrics
 
-from conftest import FIXTURE_DIR, random_graph
-
-
-def make_result(selected):
-    """Hand-built selection for metric tests that bypass the selector."""
-    return kq.SelectionResult(
-        selected=tuple(selected),
-        quota=len(selected),
-        effective_depth=0,
-        semantic_uncertainty=0.0,
-        relaxation_steps=0,
-        disconnected_fallback=False,
-        ratio=1.0,
-        strategy="proposed",
-        seed=None,
-    )
+from conftest import (
+    FIXTURE_DIR, SCORING_SURFACE, SCORING_TEXT, make_result, random_graph, scanned,
+)
 
 
 def word_graph(text, surfaces, candidates, labels=("r1", "r2")):
@@ -64,14 +51,6 @@ class TestCountOccurrences:
             kq.count_occurrences("a b c", surface, case_insensitive=True)
 
 
-#: Texts and surfaces over a tiny alphabet, so overlaps, substrings,
-#: case differences and whitespace runs come up often.
-SCORING_TEXT = st.text(alphabet="aAb \t\n", max_size=30)
-SCORING_SURFACE = st.text(alphabet="aAb \t\n", min_size=1, max_size=6).filter(
-    lambda surface: surface.split()
-)
-
-
 class TestOccurrenceTable:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -96,21 +75,12 @@ class TestOccurrenceTable:
         )
         expected = {
             e.id: (
-                kq.count_occurrences(text, e.surface, case_insensitive),
-                kq.count_occurrences(recovered, e.surface, case_insensitive),
+                scanned(text, e.surface, case_insensitive),
+                scanned(recovered, e.surface, case_insensitive),
             )
             for e in entities
         }
         assert report.entity_counts == expected
-
-
-def scanned(text, surface, case_insensitive):
-    """Non-overlapping occurrences of a surface in a text, both
-    whitespace-normalized and casefolded if asked."""
-    text, surface = (" ".join(s.split()) for s in (text, surface))
-    if case_insensitive:
-        text, surface = text.casefold(), surface.casefold()
-    return text.count(surface)
 
 
 #: Surfaces and relation labels with dots, spaces, tabs and casefold
@@ -125,7 +95,10 @@ VERBALIZED_LABEL = st.text(alphabet="ab. ßSİ", min_size=1, max_size=5).filter(
 
 
 class TestVerbalizedCounts:
-    """Counts in ``verbalize``'s own text equal a scan of that text."""
+    """With no text given, plain surfaces are counted by incidence and the
+    counts equal an independent scan of the verbalization; the
+    verbalization given as a text, and it plus a newline, is scanned as
+    any text is, with the same report."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -161,72 +134,21 @@ class TestVerbalizedCounts:
         for head, step, label in edges:  # the tail is never the head
             head %= n
             tail = (head + 1 + step % (n - 1)) % n
-            label = labels[label % len(labels)]
-            candidates.append((f"e{head}", f"e{tail}", {label: 1.0}))
-        graph = kq.build_graph("", labels, entities, candidates)
-        result = make_result(range(len(candidates)))
-        verbalized = kq.verbalize(result, graph)
-        for case_insensitive in (False, True):
-            report = kq.similarity(graph, result, verbalized, 0.5, case_insensitive)
-            assert report.entity_counts == {
-                e: (0, scanned(verbalized, graph.entity(e).surface, case_insensitive))
-                for c in candidates for e in c[:2]
-            }
-            # A text that normalizes the same but is not the verbalization
-            # takes the scanning path, with the same report.
-            assert report == kq.similarity(
-                graph, result, verbalized + "\n", 0.5, case_insensitive
-            )
-
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        surfaces=st.lists(VERBALIZED_SURFACE, min_size=2, max_size=5),
-        labels=st.lists(VERBALIZED_LABEL, min_size=2, max_size=3, unique=True),
-        edges=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2)),
-            min_size=1, max_size=6,
-        ),
-    )
-    @example(surfaces=["Chu Kochen", "1890.3.7", "St. Louis"],
-             labels=["born on", "visited"], edges=[(0, 0, 0), (0, 1, 1)])
-    @example(surfaces=["Lee", "Bruce Lee", "of"], labels=["teacher of", "son"],
-             edges=[(1, 0, 0), (0, 0, 1), (2, 0, 0)])
-    @example(surfaces=["Ip Man", "Bruce Lee", "Man teacher", "of Bruce"],
-             labels=["teacher of", "student"], edges=[(0, 0, 0), (2, 0, 1)])
-    @example(surfaces=["x", "y", "x ab", "bc y"], labels=["abc", "d"],
-             edges=[(0, 0, 0), (2, 2, 1), (3, 0, 1)])
-    @example(surfaces=["p", "q", "p r q"], labels=["r", "s"],
-             edges=[(0, 0, 0), (2, 0, 1)])
-    @example(surfaces=["Hangzhou", "Hangzhou", "Zhejiang"],
-             labels=["capital", "sight"], edges=[(0, 1, 0), (1, 0, 1)])
-    @example(surfaces=["Chu Kochen", "1890 \t"], labels=["born on", "x"],
-             edges=[(0, 0, 0)])
-    @example(surfaces=["Straße", "STRASSE", "İstanbul", "i\u0307stanbul"],
-             labels=["ß", "SS"], edges=[(0, 0, 0), (2, 0, 1)])
-    @example(surfaces=["aa", "b", "a a", "aaa"], labels=["a", "aa"],
-             edges=[(0, 0, 0), (2, 0, 1), (3, 0, 0)])
-    def test_counts_without_a_text_match_a_scan(self, surfaces, labels, edges):
-        # No recovered text: plain surfaces are counted by incidence.
-        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
-        n = len(surfaces)
-        candidates = []
-        for head, step, label in edges:  # the tail is never the head
-            head %= n
-            tail = (head + 1 + step % (n - 1)) % n
             candidates.append((f"e{head}", f"e{tail}", {labels[label % len(labels)]: 1.0}))
         graph = kq.build_graph("", labels, entities, candidates)
         result = make_result(range(len(candidates)))
         verbalized = kq.verbalize(result, graph)
         for case_insensitive in (False, True):
-            report = kq.similarity(graph, result, None, 0.5, case_insensitive)
-            assert report.entity_counts == {
+            counted, *given = (
+                kq.similarity(graph, result, text, 0.5, case_insensitive)
+                for text in (None, verbalized, verbalized + "\n")
+            )
+            assert counted.entity_counts == {
                 e: (0, scanned(verbalized, graph.entity(e).surface, case_insensitive))
                 for c in candidates for e in c[:2]
             }
-            assert report == kq.similarity(
-                graph, result, verbalized, 0.5, case_insensitive
-            )
+            assert given == [counted, counted]
+
 
 class TestVerbalize:
     def test_sentence_shape(self, hangzhou):
@@ -408,99 +330,6 @@ def fresh_fixture(name):
 class TestScoringCaches:
     """Sentences and original-text counts are kept per graph object."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        text=SCORING_TEXT,
-        surfaces=st.lists(SCORING_SURFACE, min_size=2, max_size=5),
-        selections=st.lists(
-            st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=3
-        ),
-        recovered=st.lists(SCORING_TEXT, min_size=1, max_size=2),
-        shuffler=st.randoms(use_true_random=False),
-    )
-    @example(
-        text="aA a\ta  A a b",
-        surfaces=["a", "A", "a a", "a\t\ta", "aA"],
-        selections=[[0, 1], [3, 2, 5]],
-        recovered=["A\n a aa"],
-        shuffler=random.Random(0),
-    )
-    def test_cached_calls_match_fresh_graphs(
-        self, text, surfaces, selections, recovered, shuffler
-    ):
-        # Overlapping, nested and case-variant surfaces with whitespace runs.
-        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
-        pairs = [(f"e{i}", f"e{i + 1}") for i in range(len(surfaces) - 1)]
-        candidates = [(h, t, {"r1": 1.0}) for h, t in pairs]
-        candidates += [(t, h, {"r2": 0.75, "r1": 0.25}) for h, t in pairs]
-        graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
-        results = [
-            make_result(dict.fromkeys(i % len(candidates) for i in selected))
-            for selected in selections
-        ]
-        calls = [(result, None) for result in results]
-        calls += [
-            (result, (recovered_text, phi, case_insensitive))
-            for result in results
-            for recovered_text in [*recovered, None]  # None: verbalized
-            for phi in (0.0, 0.3, 1.0)
-            for case_insensitive in (False, True)
-        ]
-        shuffler.shuffle(calls)
-        for result, scoring in calls:
-            fresh = dataclasses.replace(graph)
-            if scoring is None:
-                assert kq.verbalize(result, graph) == kq.verbalize(result, fresh)
-                continue
-            recovered_text, phi, case_insensitive = scoring
-            assert kq.similarity(
-                graph, result,
-                kq.verbalize(result, graph) if recovered_text is None else recovered_text,
-                phi, case_insensitive,
-            ) == kq.similarity(
-                fresh, result,
-                kq.verbalize(result, fresh) if recovered_text is None else recovered_text,
-                phi, case_insensitive,
-            )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        text=SCORING_TEXT,
-        surfaces=st.lists(SCORING_SURFACE, min_size=2, max_size=5),
-        selections=st.lists(
-            st.lists(st.integers(0, 9), max_size=5), min_size=1, max_size=3
-        ),
-        recovered=SCORING_TEXT,
-        shuffler=st.randoms(use_true_random=False),
-    )
-    def test_cached_verbalization_scorings_match_fresh_graphs(
-        self, text, surfaces, selections, recovered, shuffler
-    ):
-        # Scorings without a text, interleaved with scorings of a given text,
-        # read the plain flags and sentences kept on the graph; each equals a
-        # fresh graph's scoring and a scan of the verbalization.
-        entities = [kq.Entity(f"e{i}", s) for i, s in enumerate(surfaces)]
-        pairs = [(f"e{i}", f"e{i + 1}") for i in range(len(surfaces) - 1)]
-        candidates = [(h, t, {"r1": 1.0}) for h, t in pairs]
-        candidates += [(t, h, {"r2": 0.75, "r1": 0.25}) for h, t in pairs]
-        graph = kq.build_graph(text, ("r1", "r2"), entities, candidates)
-        calls = [
-            (make_result(dict.fromkeys(i % len(candidates) for i in selected)), *call)
-            for selected in selections
-            for call in [(None, False), (None, True), (recovered, False), (recovered, True)]
-        ]
-        shuffler.shuffle(calls)
-        for result, recovered_text, case_insensitive in calls:
-            fresh = dataclasses.replace(graph)
-            report = kq.similarity(graph, result, recovered_text, 0.3, case_insensitive)
-            assert report == kq.similarity(
-                fresh, result, recovered_text, 0.3, case_insensitive
-            )
-            if recovered_text is None:
-                assert report == kq.similarity(
-                    fresh, result, kq.verbalize(result, fresh), 0.3, case_insensitive
-                )
-
     def test_original_text_normalized_once_per_graph_and_case_mode(self, monkeypatch):
         calls = Counter()
         original = metrics._normalize
@@ -580,9 +409,9 @@ class TestScoringCaches:
         }
         assert graph.__dict__["_sentences"] == {3: "Chu Kochen born on 1890.3.7."}
 
-    def test_scoring_a_verbalization_on_a_warm_graph_renders_no_sentence(
-        self, monkeypatch
-    ):
+    def test_a_given_text_is_scanned_without_rendering_a_sentence(self, monkeypatch):
+        # Even a text equal to the verbalization, on a graph that has
+        # rendered its sentences, is only scanned.
         graph = fresh_fixture("bruce")
         results = [kq.select(graph, kq.SelectionConfig(k, 2)) for k in (0.1, 0.5, 1.0)]
         texts = [kq.verbalize(result, graph) for result in results]

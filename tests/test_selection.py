@@ -1,11 +1,10 @@
 """Quota arithmetic, eligibility, strategies, and the channel budget."""
 
-import dataclasses
 import itertools
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from math import fsum
+from math import fsum, isinf
 
 import numpy as np
 import pytest
@@ -15,7 +14,10 @@ from hypothesis import strategies as st
 import kgsqueeze as kq
 from kgsqueeze import selection
 
-from conftest import FIXTURE_DIR, random_graph
+from conftest import (
+    FIXTURE_DIR, bfs_distances, central_concept, endpoint_slots, random_graph,
+    within_depth,
+)
 
 
 def chain_graph(entropy_spec, labels=("r1", "r2")):
@@ -31,16 +33,17 @@ def chain_graph(entropy_spec, labels=("r1", "r2")):
 
 
 def hop_by_hop_relaxation(graph, distances, target, max_depth):
-    """Reference relaxation: rescan eligibility one depth at a time.
+    """Reference relaxation: rescan eligibility one depth at a time, over
+    ``bfs_distances`` from the central concept.
 
     Returns (pool, effective depth, disconnected fallback fired).
     """
-    deepest = distances.max_finite()
+    deepest = max(d for d in distances.values() if not isinf(d))
     depth = max_depth
-    pool = kq.eligible(graph, distances, depth)
+    pool = within_depth(graph, distances, depth)
     while len(pool) < target and depth < deepest:
         depth += 1
-        pool = kq.eligible(graph, distances, depth)
+        pool = within_depth(graph, distances, depth)
     fallback = len(pool) < target
     if fallback:
         stranded = [i for i in range(len(graph.quadruples)) if i not in pool]
@@ -62,7 +65,7 @@ def reference_pick(graph, pool, target, config):
         return pool[len(pool) - target :][::-1]
     if strategy == "proposed":
         return sorted(pool, key=lambda i: (graph.quadruples[i].entropy, i))[:target]
-    counts = graph.occurrence_counts()
+    counts = endpoint_slots(graph)
     sign = -1 if strategy == "entity_freq_desc" else 1
     quads = graph.quadruples
     return sorted(
@@ -238,12 +241,13 @@ class TestRelaxation:
     def test_matches_hop_by_hop_relaxation(self, seed):
         rng = np.random.default_rng(seed)
         g = random_graph(rng)  # often disconnected
-        distances = kq.all_distances(g, kq.select_initial_node(g))
+        distances = bfs_distances(g, central_concept(g))
+        deepest = max(d for d in distances.values() if not isinf(d))
         total = len(g.quadruples)
         for target in range(1, total + 1):
             ratio = target / total
             assert kq.quota(ratio, total) == target
-            for max_depth in range(distances.max_finite() + 3):
+            for max_depth in range(deepest + 3):
                 pool, depth, fallback = hop_by_hop_relaxation(
                     g, distances, target, max_depth
                 )
@@ -306,22 +310,6 @@ class TestGraphFacts:
         assert type(reach) is tuple and type(sorted_reach) is tuple
         assert sorted_reach == tuple(sorted(reach))
         assert type(deepest) is int
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.randoms())
-    def test_cached_runs_match_fresh_graphs(self, seed, shuffler):
-        g = random_graph(np.random.default_rng(seed))  # often disconnected
-        total = len(g.quadruples)
-        deepest = kq.all_distances(g, kq.select_initial_node(g)).max_finite()
-        configs = [
-            kq.SelectionConfig(target / total, max_depth, strategy, seed)
-            for target in range(1, total + 1)
-            for max_depth in range(deepest + 3)
-            for strategy in kq.STRATEGIES
-        ]
-        shuffler.shuffle(configs)
-        for config in configs:
-            assert kq.select(g, config) == kq.select(dataclasses.replace(g), config)
 
 
 class TestOrderings:
@@ -462,10 +450,10 @@ class TestOptimality:
             ratio = float(rng.uniform(0.05, 1.0))
             depth = int(rng.integers(0, 4))
             r = kq.select(g, kq.SelectionConfig(ratio, depth))
-            distances = kq.all_distances(g, kq.select_initial_node(g))
-            pool = kq.eligible(g, distances, r.effective_depth)
             if r.disconnected_fallback:
                 continue
+            distances = bfs_distances(g, central_concept(g))
+            pool = within_depth(g, distances, r.effective_depth)
             assert r.semantic_uncertainty == brute_force_min_su(
                 g, pool, r.quota
             )

@@ -31,6 +31,8 @@ from kgsqueeze.io import (
     _selection_header,
 )
 
+from conftest import stdlib_layout
+
 B = _SELECTION_BATCH
 
 
@@ -72,10 +74,6 @@ def odd_chain_document() -> bytes:
     }) + "\n").encode()
 
 
-def stdlib_layout(data: bytes) -> bytes:
-    return (json.dumps(json.loads(data), indent=2, ensure_ascii=False) + "\n").encode()
-
-
 QUOTAS = (1, B - 1, B, B + 1, 2 * B + 1)
 
 
@@ -92,7 +90,7 @@ def test_batch_boundaries_keep_the_stdlib_layout(tmp_path, capsys, document, quo
     emitted = kq.emit_selection(result, graph)
     chunks = list(_selection_chunks(result, graph))
     assert len(chunks) == -(-quota // B) + 1  # one per batch, then the closing
-    assert b"".join(chunks) == emitted == stdlib_layout(emitted)
+    assert b"".join(chunks) == emitted == stdlib_layout(json.loads(emitted))
 
     source, output = tmp_path / "graph.json", tmp_path / "sel.json"
     source.write_bytes(document)
@@ -110,7 +108,7 @@ def test_an_empty_selection_keeps_the_stdlib_layout():
     result = kq.select(graph, kq.SelectionConfig(0.1, 2))
     empty = dataclasses.replace(result, selected=(), quota=0)
     data = kq.emit_selection(empty, graph)
-    assert data == stdlib_layout(data)
+    assert data == stdlib_layout(json.loads(data))
     assert json.loads(data)["selected"] == []
 
 
@@ -170,7 +168,7 @@ def test_layout_lookalike_strings_keep_the_stdlib_layout(quota, data):
     fields = _selection_header(result) | {
         "selected": [_selection_entry(graph, i) for i in result.selected]
     }
-    expected = (json.dumps(fields, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    expected = stdlib_layout(fields)
     assert kq.emit_selection(result, graph) == expected
 
     with tempfile.TemporaryDirectory() as work:
@@ -196,7 +194,7 @@ def test_reals_in_exponent_form_keep_the_stdlib_layout():
     fields = _selection_header(result) | {
         "selected": [_selection_entry(graph, i) for i in result.selected]
     }
-    expected = (json.dumps(fields, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    expected = stdlib_layout(fields)
     assert kq.emit_selection(result, graph) == expected
     assert list(map(repr, graph.entropies)) == ["3.7691911566879126e-11", "0.0", "5.306e-321"]
 
@@ -221,7 +219,8 @@ def test_a_real_no_json_number_can_spell_is_refused(column, bad):
     broken = dataclasses.replace(graph, **{column: tuple(values)})
     with pytest.raises(ValueError, match="not a finite float"):
         kq.emit_selection(result, broken)
-    assert kq.emit_selection(result, graph) == stdlib_layout(kq.emit_selection(result, graph))
+    emitted = kq.emit_selection(result, graph)
+    assert emitted == stdlib_layout(json.loads(emitted))
 
 
 #: Allowed growth of the write path's tracemalloc peak from H = 2,000 to
