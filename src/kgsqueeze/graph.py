@@ -16,12 +16,10 @@ its size follows its document, not candidates times the relation set.
 ``RelationDistribution``, only when a caller reads one; the pipeline
 reads the columns.
 
-``build_graph`` gives each rule one owner.  Whole-column checks (exact
-types, known ids, no self-loop, known labels, confidences in [0, 1])
-validate the candidates when they all hold; when one fails, a walk
-checks every candidate in turn and names the first fault.  Then one pass
-over every map, in candidate order, checks its sum, renormalizes it and
-drops its zeros, and one builder makes the columns from the maps.
+``build_graph`` gives each rule one owner.  One walk over the
+candidates, in order, checks each one's rules, names the first fault and
+drops its zero confidences, then keeps, renormalizes or refuses its sum;
+one builder makes the columns from the maps.
 
 All types are frozen dataclasses, and the sequence ``graph.quadruples``
 returns only reads its graph: immutable after construction and safe to
@@ -44,8 +42,8 @@ from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from itertools import chain
-from math import fsum, isnan, log2
-from operator import eq, itemgetter, mul
+from math import fsum, log2
+from operator import itemgetter, mul
 
 from .errors import (
     BadDistributionError,
@@ -253,10 +251,10 @@ def _probabilities(
     ``index`` maps each relation label to its position.  The rules run in
     this order, and the first broken one raises: every unknown label at
     once, then each confidence in map order (its type, then its range).
-    Returns a ``dict`` of each label given, zeros included, with its
-    confidence as a ``float``, in map order; ``build_graph`` checks and
-    normalizes its sum.  Work scales with the labels the map gives, not
-    with the relation set.
+    Returns the non-zero confidences as a ``dict`` of ``float``, in map
+    order: the map itself when it already is one, else a copy without its
+    zeros.  ``build_graph`` checks and normalizes the sum.  Work scales
+    with the labels the map gives, not with the relation set.
     """
     # type() first: nearly every map is a dict, nearly every value a float.
     if type(confidences) is not dict and not isinstance(confidences, Mapping):
@@ -270,7 +268,7 @@ def _probabilities(
             f"candidate {i}: confidence for unknown relation label(s) "
             f"{sorted(unknown, key=str)!r}"
         )
-    given = {}
+    as_given = type(confidences) is dict
     for label, value in confidences.items():
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -283,21 +281,16 @@ def _probabilities(
                 raise BadDistributionError(
                     f"candidate {i}: a confidence outside [0, 1]"
                 ) from None
-        if not 0.0 <= value <= 1.0:  # a NaN fails too
-            raise BadDistributionError(
-                f"candidate {i}: confidence {value!r} for {label!r} outside [0, 1]"
-            )
-        given[label] = value
-    return given
-
-
-def _check_sum(total: float, i: int) -> None:
-    """Refuse candidate ``i``'s confidence sum outside SUM_TOLERANCE_BAND."""
-    low, high = SUM_TOLERANCE_BAND
-    if not low <= total <= high:
-        raise BadDistributionError(
-            f"candidate {i}: confidences sum to {total!r}, outside [{low}, {high}]"
-        )
+            as_given = False
+        if not 0.0 < value <= 1.0:  # a NaN fails too
+            if value != 0.0:
+                raise BadDistributionError(
+                    f"candidate {i}: confidence {value!r} for {label!r} outside [0, 1]"
+                )
+            as_given = False
+    if as_given:
+        return confidences
+    return {label: float(value) for label, value in confidences.items() if value}
 
 
 def _require_str(value: object, field: str) -> None:
@@ -316,8 +309,9 @@ def _require_str(value: object, field: str) -> None:
 
 
 def _items(value: object, field: str) -> tuple:
-    """A container's items; a string or a non-iterable is no container."""
-    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+    """A container's items; a string or a non-iterable is no container,
+    and a set has no order, which label and entity ties depend on."""
+    if isinstance(value, (str, bytes, set, frozenset)) or not isinstance(value, Iterable):
         raise SchemaViolationError(
             f"{field} must be a sequence, got {type(value).__name__}"
         )
@@ -389,41 +383,6 @@ def _triple(candidate: object, i: int) -> tuple:
     )
 
 
-def _column_checked(
-    candidates: tuple, ids: set[str], index: dict[str, int]
-) -> tuple[tuple, tuple, list] | None:
-    """The head, tail and confidence-map columns of ``candidates`` when
-    every whole-column check ``build_graph`` lists holds, else ``None``.
-
-    Each check runs only once those before it make it safe: ``min`` gets
-    no empty list, and ``sum`` only values in [0, 1], which cannot
-    overflow it, or a NaN, which ``min`` and ``max`` pass after a valid
-    value and which makes the sum NaN.
-    """
-    if {*map(type, candidates)} != {tuple} or {*map(len, candidates)} != {3}:
-        return None
-    heads, tails, maps = zip(*candidates)
-    if not (
-        {*map(type, heads), *map(type, tails)} == {str}
-        and ids.issuperset(heads)
-        and ids.issuperset(tails)
-        and not any(map(eq, heads, tails))
-        and {*map(type, maps)} == {dict}
-        and index.keys() >= {*chain.from_iterable(maps)}
-    ):
-        return None
-    values = [*chain.from_iterable(map(dict.values, maps))]
-    if not (
-        values
-        and {*map(type, values)} == {float}
-        and 0.0 <= min(values)
-        and max(values) <= 1.0
-        and not isnan(sum(values))
-    ):
-        return None
-    return heads, tails, [*maps]
-
-
 def build_graph(
     text: str,
     relation_set: Sequence[str],
@@ -441,7 +400,7 @@ def build_graph(
     renormalized with a note in ``graph.warnings``; anything else raises.
     Zero confidences are dropped.
     A value of the wrong type (a relation set, entity list or candidate
-    list that is a string or no container, an entity not an ``Entity``,
+    list that is a string, a set or no container, an entity not an ``Entity``,
     a candidate not a triple, a text, label, id, surface, head or tail
     not a ``str``, a ``first_token_index`` not an ``int``, a confidence
     map not a mapping, a confidence not an ``int`` or ``float``; a
@@ -453,14 +412,10 @@ def build_graph(
     to tail, then its confidences: unknown labels first, then each
     confidence in map order (type, then range), then the sum.
 
-    The candidates are first checked a whole column at a time, each check
-    a C-level call: every candidate an exact 3-``tuple``, every head and
-    tail an exact ``str`` among the entity ids, no head equal to its tail,
-    every map an exact ``dict`` of known labels, every confidence an exact
-    ``float`` in [0, 1] and none a NaN.  When they all hold, they are the
-    whole validation; when one fails, the rules above are walked for every
-    candidate, in order.  Then one pass over every map, in candidate
-    order, normalizes it, and one builder makes every column from the maps.
+    One walk takes the candidates in order: it checks each one's rules
+    and drops its zero confidences, sums its map once, then keeps,
+    renormalizes or refuses the sum.  One builder then makes every column
+    from the maps.
     """
     _require_str(text, "text")
     labels = _validated_relation_set(relation_set)
@@ -471,48 +426,47 @@ def build_graph(
         raise EmptyGraphError("no quadruple candidates")
 
     index = {label: i for i, label in enumerate(labels)}
-    columns = _column_checked(candidates, ids, index)
-    heads, tails, maps = columns or ([], [], [])
-    if columns is None:  # the walk, in candidate order: the first fault raises
-        for i, candidate in enumerate(candidates):
-            if type(candidate) is not tuple or len(candidate) != 3:
-                candidate = _triple(candidate, i)
-            head, tail, confidences = candidate
-            if not isinstance(head, str):
-                raise SchemaViolationError(
-                    f"candidate {i}: head must be a str, got {type(head).__name__}"
-                )
-            if head not in ids:
-                raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
-            if not isinstance(tail, str):
-                raise SchemaViolationError(
-                    f"candidate {i}: tail must be a str, got {type(tail).__name__}"
-                )
-            if tail not in ids:
-                raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
-            if head == tail:
-                raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
-            given = _probabilities(index, confidences, i)
-            _check_sum(fsum(given.values()), i)  # before a later candidate's fault
-            heads.append(head)
-            tails.append(tail)
-            maps.append(given)
-    # The one normalization pass, in candidate order.  A map with no zero
-    # and a sum within _SUM_KEPT of 1 is kept as given, so re-ingesting
-    # serialized output reproduces confidences bit for bit.
-    warnings = []
-    for i, values in enumerate(map(dict.values, maps)):
-        total = fsum(values)
+    low, high = SUM_TOLERANCE_BAND
+    heads, tails, maps, warnings = [], [], [], []
+    for i, candidate in enumerate(candidates):  # the first fault raises
+        if type(candidate) is not tuple or len(candidate) != 3:
+            candidate = _triple(candidate, i)
+        head, tail, confidences = candidate
+        if not isinstance(head, str):
+            raise SchemaViolationError(
+                f"candidate {i}: head must be a str, got {type(head).__name__}"
+            )
+        if head not in ids:
+            raise UnknownEntityError(f"candidate {i}: unknown head entity {head!r}")
+        if not isinstance(tail, str):
+            raise SchemaViolationError(
+                f"candidate {i}: tail must be a str, got {type(tail).__name__}"
+            )
+        if tail not in ids:
+            raise UnknownEntityError(f"candidate {i}: unknown tail entity {tail!r}")
+        if head == tail:
+            raise SelfLoopError(f"candidate {i}: head equals tail ({head!r})")
+        given = _probabilities(index, confidences, i)
+        total = fsum(given.values())
         drift = abs(total - 1.0)
-        if drift > _SUM_KEPT or 0.0 in values:
-            _check_sum(total, i)
+        # A sum within _SUM_KEPT of 1 is kept as given, so re-ingesting
+        # serialized output reproduces confidences bit for bit.
+        if drift > _SUM_KEPT:
+            if not low <= total <= high:
+                raise BadDistributionError(
+                    f"candidate {i}: confidences sum to {total!r}, "
+                    f"outside [{low}, {high}]"
+                )
             if drift > SUM_WARN_TOLERANCE:
                 warnings.append(
                     f"candidate {i}: confidences sum to {total:.6g}, renormalized"
                 )
-            divisor = total if drift > _SUM_KEPT else 1.0  # x / 1.0 is x
-            # Explicit zeros are dropped.
-            maps[i] = {label: p for label, v in maps[i].items() if (p := v / divisor)}
+            # v / total rounds to no less than 2**-1074, as v is at least that
+            # and total at most 1.1: no quotient is a zero to drop.
+            given = {label: v / total for label, v in given.items()}
+        heads.append(head)
+        tails.append(tail)
+        maps.append(given)
     # A map's labels are distinct, so sorting never compares probabilities.
     pairs = tuple([tuple(sorted(zip(map(index.__getitem__, m), m.values()))) for m in maps])
     # The first largest pair: ties go to the earliest label.

@@ -290,10 +290,12 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
     still does not grow with the document.  Each real is a finite
     ``float``, whose JSON is its repr: ``build_graph`` stores no other,
     and a batch holding any other real raises ``ValueError``, as no JSON
-    parser would read its repr.
+    parser would read its repr.  A selected index outside the graph
+    raises ``SelectionMismatchError`` before the first chunk.
     """
-    head = _json_bytes(_selection_header(result) | {"selected": []})
     selected = result.selected
+    _check_in_range(graph, selected)
+    head = _json_bytes(_selection_header(result) | {"selected": []})
     if not selected:
         yield head
         return
@@ -323,7 +325,8 @@ def _selection_chunks(result: SelectionResult, graph: ProbabilityGraph) -> Itera
 
 
 def emit_selection(result: SelectionResult, graph: ProbabilityGraph) -> bytes:
-    """Selection to document bytes; equal inputs give identical bytes."""
+    """Selection to document bytes; equal inputs give identical bytes.
+    A selected index outside the graph raises SelectionMismatchError."""
     return b"".join(_selection_chunks(result, graph))
 
 

@@ -69,7 +69,6 @@ def random_graph(
     n = int(rng.integers(2, max_entities + 1))
     labels = tuple(f"r{i}" for i in range(int(rng.integers(2, 9))))
     surfaces = [f"e{i}" for i in range(n)]
-    entities = [kq.Entity(s, s, i) for i, s in enumerate(surfaces)]
 
     pairs: list[tuple[int, int]] = []
     if connected:
@@ -85,6 +84,13 @@ def random_graph(
     candidates = [
         (surfaces[h], surfaces[t], random_confidences(rng, labels))
         for h, t in pairs
+    ]
+    # Drawn last, so a seed's other draws stay as they were.  Shuffled and
+    # with some missing, the first tokens can break a central-concept tie
+    # against declaration order.
+    tokens = rng.permutation(n)
+    entities = [
+        kq.Entity(s, s, int(t) if t % 4 else None) for s, t in zip(surfaces, tokens)
     ]
     return kq.build_graph(" ".join(surfaces), labels, entities, candidates)
 

@@ -244,8 +244,13 @@ class TestBuildGraph:
         [
             ("relation_set", "r1r2", "relation_set must be a sequence, got str"),
             ("relation_set", None, "relation_set must be a sequence, got NoneType"),
+            # A set's order follows the hash seed, and label ties follow order.
+            ("relation_set", {"r1", "r2"}, "relation_set must be a sequence, got set"),
+            ("relation_set", frozenset({"r1", "r2"}),
+             "relation_set must be a sequence, got frozenset"),
             ("entities", None, "entities must be a sequence, got NoneType"),
             ("entities", "ab", "entities must be a sequence, got str"),
+            ("entities", set(two_entities()), "entities must be a sequence, got set"),
             ("entities", [{"id": "a", "surface": "a"}, kq.Entity("b", "b")],
              r"entities\[0\] must be an Entity, got dict"),
             ("candidates", None, "candidates must be a sequence, got NoneType"),
@@ -256,7 +261,8 @@ class TestBuildGraph:
              r"candidates\[0\] must be a \(head, tail, confidences\) triple, "
              r"got str of length 3"),
         ],
-        ids=["str_relation_set", "none_relation_set", "none_entities", "str_entities",
+        ids=["str_relation_set", "none_relation_set", "set_relation_set",
+             "frozenset_relation_set", "none_entities", "str_entities", "set_entities",
              "dict_entity", "none_candidates", "two_tuple_candidate", "str_candidate"],
     )
     def test_container_of_the_wrong_kind_rejected(self, part, value, message):

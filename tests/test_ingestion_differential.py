@@ -1,13 +1,13 @@
-"""``build_graph`` against the candidate-by-candidate walk it runs on.
+"""``build_graph`` against a frozen copy of its candidate walk.
 
-``build_graph`` first checks whole columns of the candidates at once.
-When those checks hold they are the whole validation; when one fails,
-it walks every candidate one by one.  Then one pass over every map
-checks its sum, renormalizes it and drops its zeros.  ``reference``
-below is the walk as every input took it before the column checks,
-kept as it was written.  Every input must give the same columns and
-warnings, or the same error class and message, through ``build_graph``
-and, where a document can carry it, through ``parse_graph_document``.
+``build_graph`` walks the candidates in order: it checks each one's
+rules, then its sum, renormalizes it and drops its zeros.  ``reference``
+below is an earlier spelling of that walk, frozen as the oracle: one
+helper checks, sums and normalizes each candidate's map into its pairs,
+and the entropies are summed another way.  Every input must give the same
+columns and warnings, or the same error class and message, through
+``build_graph`` and, where a document can carry it, through
+``parse_graph_document``.
 """
 
 import json
@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsqueeze as kq
-from kgsqueeze import graph as graph_module
 from kgsqueeze.errors import (
     BadDistributionError,
     EmptyGraphError,
@@ -33,7 +32,6 @@ from kgsqueeze.graph import (
     SUM_TOLERANCE_BAND,
     SUM_WARN_TOLERANCE,
     ProbabilityGraph,
-    _column_checked,
     _items,
     _require_str,
     _triple,
@@ -230,6 +228,7 @@ CHANGES = {
     "sum below the low band edge": lambda h, t, m: (h, t, summing_to(nextafter(0.9, 0))),
     "sum at the high band edge": lambda h, t, m: (h, t, summing_to(1.1)),
     "sum above the high band edge": lambda h, t, m: (h, t, summing_to(nextafter(1.1, 2))),
+    "a subnormal renormalized": lambda h, t, m: (h, t, {"r3": 5e-324, **summing_to(1.1)}),
     "a value above 1": lambda h, t, m: (h, t, {"r0": 1.5}),
     "a negative value": lambda h, t, m: (h, t, {"r0": -0.25, "r1": 1.0}),
     "an infinite value": lambda h, t, m: (h, t, {"r0": 0.5, "r1": inf}),
@@ -249,8 +248,7 @@ CHANGES = {
 
 @st.composite
 def clean_maps(draw):
-    """A map the column checks pass: non-zero floats whose sum is 1 to
-    within a few ulps."""
+    """A valid map: non-zero floats whose sum is 1 to within a few ulps."""
     named = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
     weights = draw(st.lists(st.integers(1, 1000), min_size=len(named),
                             max_size=len(named)))
@@ -318,11 +316,6 @@ def every_value(candidates, name):
     return [(h, t, {label: change(p) for label, p in m.items()}) for h, t, m in candidates]
 
 
-def column_checked(candidates):
-    index = {label: i for i, label in enumerate(LABELS)}
-    return _column_checked(tuple(candidates), set(IDS), index)
-
-
 @settings(max_examples=600, deadline=None)
 @given(candidates=CANDIDATES, values=st.sampled_from(list(EVERY_VALUE)), edits=EDITS)
 @example(candidates=[("e0", "e1", {"r0": 1.0})] * 3, values="unchanged",
@@ -330,10 +323,7 @@ def column_checked(candidates):
                 (1, "an empty map"),
                 (2, "an empty map")])
 def test_build_graph_matches_the_walk(candidates, values, edits):
-    candidates = every_value(candidates, values)
-    if not edits:  # the column checks pass, whatever the sums
-        assert column_checked(candidates) is not None
-    candidates = edited(candidates, edits)
+    candidates = edited(every_value(candidates, values), edits)
     expected = outcome(reference, candidates)
     assert outcome(kq.build_graph, candidates) == expected
     if all(map(expressible, candidates)):
@@ -351,50 +341,16 @@ BASE = [("e0", "e1", {"r0": 0.25, "r1": 0.75}), ("e1", "e2", {"r2": 1.0}),
 
 
 def test_every_change_is_tried_at_the_first_and_a_later_candidate():
-    """Each named change on its own, so none rests on what hypothesis draws."""
+    """Each named change on its own, and whole graphs whose every sum
+    drifts or whose every map has zeros, so none rests on what
+    hypothesis draws."""
     for name in CHANGES:
-        for position in (0, 2):
+        for position in (0, 1, 2):
             candidates = edited(BASE, [(position, name)])
             assert outcome(kq.build_graph, candidates) == outcome(reference, candidates), name
-    every_empty = [(h, t, {}) for h, t, _ in BASE]
-    assert outcome(kq.build_graph, every_empty) == outcome(reference, every_empty)
-
-
-#: Changes that pass every whole-column check, leaving the normalization
-#: pass a zero to drop or a sum to keep, renormalize or refuse.
-NORMALIZED = (
-    "an empty map", "a -0.0 value", "a 0.0 value", "drift just inside 1e-12",
-    "drift just outside 1e-12", "drift just below 1 inside 1e-12",
-    "drift just outside -1e-12", "drift just inside 1e-6", "drift just outside 1e-6",
-    "drift just outside -1e-6", "sum at the low band edge", "sum below the low band edge",
-    "sum at the high band edge", "sum above the high band edge",
-)
-
-
-def test_zeros_and_drifting_sums_pass_the_column_checks_but_a_nan_does_not():
-    for name in NORMALIZED:
-        for position in (0, 1):
-            candidates = edited(BASE, [(position, name)])
-            assert column_checked(candidates) is not None, name
-            assert outcome(kq.build_graph, candidates) == outcome(reference, candidates), name
-    for name in ("NaN after a valid value", "NaN first"):
-        for position in (0, 1):
-            assert column_checked(edited(BASE, [(position, name)])) is None, name
-
-
-def test_only_a_failed_column_check_walks_and_then_walks_every_candidate(monkeypatch):
-    walked = []
-
-    def counted(index, confidences, i, _original=graph_module._probabilities):
-        walked.append(i)
-        return _original(index, confidences, i)
-
-    monkeypatch.setattr(graph_module, "_probabilities", counted)
     drifting = every_value(BASE * 4, "1e-9 low")
     zero_padded = [(h, t, dict.fromkeys(LABELS, 0.0) | m) for h, t, m in BASE * 4]
-    for candidates in (drifting, zero_padded):
+    every_empty = [(h, t, {}) for h, t, _ in BASE]
+    for candidates in (drifting, zero_padded, edited(drifting, [(5, "an int value")]),
+                       every_empty):
         assert outcome(kq.build_graph, candidates) == outcome(reference, candidates)
-        assert walked == []
-    candidates = edited(drifting, [(5, "an int value")])
-    assert outcome(kq.build_graph, candidates) == outcome(reference, candidates)
-    assert walked == [*range(len(candidates))]

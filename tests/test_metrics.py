@@ -458,6 +458,9 @@ class TestSelectedIndexRange:
         with pytest.raises(kq.SelectionMismatchError) as raised:
             kq.parse_selection_document(json.dumps(document).encode(), bruce)
         assert str(raised.value) == message
+        with pytest.raises(kq.SelectionMismatchError) as raised:
+            kq.emit_selection(parsed, bruce)
+        assert str(raised.value) == message
 
     def test_negative_index_is_a_selection_mismatch(self, bruce):
         # A hand-built result; a negative index used to read from the end.
@@ -472,6 +475,9 @@ class TestSelectedIndexRange:
             with pytest.raises(kq.SelectionMismatchError) as raised:
                 kq.similarity(bruce, result, text)
             assert str(raised.value) == message
+        with pytest.raises(kq.SelectionMismatchError) as raised:
+            kq.emit_selection(result, bruce)
+        assert str(raised.value) == message
 
 
 class TestRecoveredTextType:
