@@ -20,6 +20,7 @@ from ._rng import derive_seed
 from .graph import ProbabilityGraph
 from .io import RunRecord, SweepRow
 from .metrics import (
+    DEFAULT_PHI,
     _check_phi,
     _Tally,
     similarity,  # unused here; benchmarks/tracing.py wraps this name
@@ -65,7 +66,7 @@ def run_sweep(
     depth: int = 2,
     runs: int = 100,
     seed: int = 0,
-    phi: float = 0.5,
+    phi: float = DEFAULT_PHI,
 ) -> tuple[list[SweepRow], list[RunRecord]]:
     """All strategies across the ratio grid; see the module docstring.
 

@@ -359,7 +359,7 @@ def parse_selection_document(
         )
     except ValueError as exc:
         raise SchemaViolationError(f"selection: {exc}") from None
-    fallback = doc.get("disconnected_fallback")
+    fallback = _field(doc, "disconnected_fallback", "selection")
     if not isinstance(fallback, bool):
         raise SchemaViolationError("selection: disconnected_fallback must be a bool")
     uncertainty = _require_number(doc, "SU", "selection")

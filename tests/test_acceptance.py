@@ -9,7 +9,7 @@ recovered text from the built-in verbalizer, not a generative model.
 import itertools
 import json
 import time
-from math import fsum, isinf
+from math import copysign, fsum
 
 import numpy as np
 import pytest
@@ -54,38 +54,55 @@ def test_criterion_01_entropy_correctness(verdict):
     uniform = kq.RelationDistribution(
         tuple(f"r{i}" for i in range(16)), (1.0 / 16,) * 16
     )
-    uniform_error = abs(kq.relation_entropy(uniform) - 4.0)
+    uniform_value = kq.relation_entropy(uniform)
     one_hot = kq.RelationDistribution(("r0", "r1", "r2"), (0.0, 1.0, 0.0))
     one_hot_value = kq.relation_entropy(one_hot)
+    split = kq.RelationDistribution(("r0", "r1", "r2"), (0.7, 0.2, 0.1))
+    split_error = abs(kq.relation_entropy(split) - 1.1567796494470394)
 
+    # Each random map is scored as a distribution and as a candidate of
+    # one graph, whose entropies column build_graph fills.
     rng = np.random.default_rng(20260819)
-    worst = 0.0
+    labels = tuple(f"r{i}" for i in range(32))
+    maps, expected, worst = [], [], 0.0
     for _ in range(1000):
         size = int(rng.integers(2, 33))
-        labels = tuple(f"r{i}" for i in range(size))
-        conf = random_confidences(rng, labels)
-        values = tuple(conf.get(label, 0.0) for label in labels)
-        got = kq.relation_entropy(kq.RelationDistribution(labels, values))
-        worst = max(worst, abs(got - entropy_oracle(values)))
+        conf = random_confidences(rng, labels[:size])
+        values = tuple(conf.get(label, 0.0) for label in labels[:size])
+        maps.append(conf)
+        expected.append(entropy_oracle(values))
+        got = kq.relation_entropy(kq.RelationDistribution(labels[:size], values))
+        worst = max(worst, abs(got - expected[-1]))
+    ends = [kq.Entity("a", "a", 0), kq.Entity("b", "b", 1)]
+    graph = kq.build_graph("a b", labels, ends, [("a", "b", conf) for conf in maps])
+    worst_column = max(
+        abs(got - want) for got, want in zip(graph.entropies, expected, strict=True)
+    )
     elapsed = time.perf_counter() - start
 
     ok = (
-        uniform_error <= 1e-12
+        uniform_value == 4.0
         and one_hot_value == 0.0
-        and worst <= 1e-9
+        and copysign(1.0, one_hot_value) == 1.0
+        and split_error <= 1e-15
+        and worst <= 1e-12
+        and worst_column <= 1e-12
         and elapsed < 1.0
     )
     verdict(
         1,
         ok,
-        f"uniform err {uniform_error:.1e}, one-hot {one_hot_value}, "
-        f"1000 random max err {worst:.2e} vs 50-digit oracle, {elapsed:.2f}s",
+        f"uniform {uniform_value}, one-hot {one_hot_value}, 0.7/0.2/0.1 err "
+        f"{split_error:.1e}; 1000 random maps max err {worst:.2e} as "
+        f"distributions, {worst_column:.2e} in build_graph's column, vs "
+        f"50-digit oracle, {elapsed:.2f}s",
     )
 
 
 def test_criterion_02_distance_correctness(verdict, hangzhou):
     start = time.perf_counter()
     rng = np.random.default_rng(31337)
+    graphs = []
     tables = 0
     mismatches = 0
     for _ in range(200):
@@ -102,6 +119,11 @@ def test_criterion_02_distance_correctness(verdict, hangzhou):
             entities,
             [(f"e{u}", f"e{v}", {"r0": 1.0}) for u, v in pairs],
         )
+        graphs.append(graph)
+    # Generated graphs too: random labels and maps, and islands.
+    rng = np.random.default_rng(7)
+    graphs += [random_graph(rng) for _ in range(200)]
+    for graph in graphs:
         for entity in graph.entities:
             if kq.all_distances(graph, entity.id).distance != bfs_distances(
                 graph, entity.id
@@ -121,7 +143,8 @@ def test_criterion_02_distance_correctness(verdict, hangzhou):
     verdict(
         2,
         ok,
-        f"{tables} single-source tables over 200 random graphs match BFS, "
+        f"{tables} single-source tables over 200 random edge lists and 200 "
+        f"generated graphs match BFS, "
         f"d(centre, West Lake)=1 and d(centre, 1890.3.7)=3, {elapsed:.2f}s",
     )
 
@@ -291,7 +314,9 @@ def test_criterion_06_metrics_algebra(verdict, bruce):
     ss_equals_quota = (
         report.accuracy == 1.0
         and report.completeness == 1.0
+        and report.theta == float(two.quota)
         and report.similarity == float(two.quota)
+        and report.semantic_uncertainty == 0.0
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -306,7 +331,7 @@ def test_criterion_06_metrics_algebra(verdict, bruce):
         ok,
         f"A/C swap exact over 50 text pairs, phi limits within "
         f"{max(zero_err, one_err):.1e} of theta*A and theta*C, one-hot "
-        f"A=C=1 gives SS == H, {elapsed:.2f}s",
+        f"A=C=1 gives theta == SS == H and SU == 0, {elapsed:.2f}s",
     )
 
 
@@ -345,6 +370,7 @@ def test_criterion_08_budget_formula(verdict):
     h_clamped = kq.budget_to_quota(roomy, 10)
     ok = (
         h_zero == 0
+        and zero_power.capacity_bits() == 0.0
         and textbook.capacity_bits() == 2000.0
         and h_five == 5
         and h_clamped == 10
@@ -353,7 +379,7 @@ def test_criterion_08_budget_formula(verdict):
     verdict(
         8,
         ok,
-        f"P=0 -> H={h_zero}; 2000-bit capacity at 400 bits/quadruple -> "
+        f"P=0 -> 0 bits, H={h_zero}; 2000-bit capacity at 400 bits/quadruple -> "
         f"H={h_five}; oversized budget clamps at G ({h_clamped}/10)",
     )
 
@@ -546,28 +572,33 @@ def test_criterion_09_robustness(verdict):
 
 def test_criterion_10_end_to_end_determinism(verdict, tmp_path):
     start = time.perf_counter()
-    graph = str(FIXTURE_DIR / "bruce.json")
-    outputs = []
-    dumps = []
-    for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
-        out = tmp_path / f"{name}.csv"
-        dump = tmp_path / f"{name}-runs.csv"
-        code = main([
-            "sweep", "--input", graph, "--runs", "50", "--seed", "123",
-            "--jobs", jobs, "--dump-runs", str(dump), "--output", str(out),
-        ])
-        assert code == 0
-        outputs.append(out.read_bytes())
-        dumps.append(dump.read_bytes())
+    sizes = []
+    identical = True
+    for fixture in ("bruce", "hangzhou"):
+        outputs = []
+        dumps = []
+        for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
+            out = tmp_path / f"{fixture}-{name}.csv"
+            dump = tmp_path / f"{fixture}-{name}-runs.csv"
+            code = main([
+                "sweep", "--input", str(FIXTURE_DIR / f"{fixture}.json"),
+                "--runs", "50", "--seed", "123", "--jobs", jobs,
+                "--dump-runs", str(dump), "--output", str(out),
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+            dumps.append(dump.read_bytes())
+        identical = identical and (
+            outputs[0] == outputs[1] == outputs[2]
+            and dumps[0] == dumps[1] == dumps[2]
+            and len(outputs[0]) > 0
+        )
+        sizes.append(len(outputs[0]))
     elapsed = time.perf_counter() - start
-    ok = (
-        outputs[0] == outputs[1] == outputs[2]
-        and dumps[0] == dumps[1] == dumps[2]
-        and len(outputs[0]) > 0
-    )
     verdict(
         10,
-        ok,
-        f"sweep CSV ({len(outputs[0])} bytes) and per-run dump byte-identical "
-        f"across two runs and across --jobs 1/4, {elapsed:.2f}s",
+        identical,
+        f"sweep CSVs ({sizes[0]} and {sizes[1]} bytes, bruce and hangzhou) and "
+        f"per-run dumps byte-identical across two runs and across --jobs 1/4, "
+        f"{elapsed:.2f}s",
     )

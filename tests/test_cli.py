@@ -523,15 +523,6 @@ class TestSweep:
         assert len(lines) == 61
         assert "rows=60 seed=1" in capsys.readouterr().err
 
-    def test_fixed_seed_is_byte_identical_across_runs_and_jobs(self, tmp_path):
-        outs = [tmp_path / f"s{i}.csv" for i in range(3)]
-        for out, jobs in zip(outs, ["1", "1", "4"]):
-            assert main(["sweep", "--input", HANGZHOU, "--runs", "5",
-                         "--seed", "9", "--jobs", jobs,
-                         "--output", str(out)]) == 0
-        blobs = [o.read_bytes() for o in outs]
-        assert blobs[0] == blobs[1] == blobs[2]
-
     def test_dump_runs_writes_per_run_figures(self, tmp_path):
         out = tmp_path / "sweep.csv"
         dump = tmp_path / "runs.csv"

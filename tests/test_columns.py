@@ -1,4 +1,4 @@
-"""A graph's candidate columns against a dense oracle, and what ingestion costs.
+"""A graph's quadruple view against a dense oracle, and what ingestion costs.
 
 ``build_graph`` stores each candidate's non-zero (label index,
 probability) pairs with its top relation, top probability and entropy,
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import kgsqueeze as kq
 from kgsqueeze.cli import main
 
-from conftest import FIXTURE_DIR, float32_document
+from conftest import FIXTURE_DIR, entropy_oracle, float32_document
 
 
 @st.composite
@@ -86,20 +86,20 @@ def run_cli(graph):
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
-def test_columns_match_the_dense_oracle(built):
+def test_quadruples_match_the_dense_oracle(built):
+    """The ``graph.quadruples`` view; ``test_ingestion_differential.py``
+    checks the columns it reads."""
     graph, candidates = built
     labels = graph.relation_set
     assert len(graph.quadruples) == len(candidates)
     for i, (head, tail, confidences) in enumerate(candidates):
         vector = dense(labels, confidences)
-        oracle = kq.RelationDistribution(labels, vector)
-        assert graph.confidences[i] == tuple((j, p) for j, p in enumerate(vector) if p)
-        assert (graph.top_relations[i], graph.top_probabilities[i]) == oracle.top()
-        assert graph.entropies[i] == kq.relation_entropy(oracle)
-        assert graph.quadruples[i] == kq.Quadruple(
-            head, tail, oracle, *oracle.top(), kq.relation_entropy(oracle)
-        )
-        assert graph.quadruples[i].distribution.confidences == vector
+        top = max(range(len(vector)), key=vector.__getitem__)  # the first argmax
+        quadruple = graph.quadruples[i]
+        assert quadruple.distribution == kq.RelationDistribution(labels, vector)
+        assert (quadruple.head, quadruple.tail, quadruple.top_relation,
+                quadruple.top_probability) == (head, tail, labels[top], vector[top])
+        assert abs(quadruple.entropy - entropy_oracle(vector)) <= 1e-12
     assert graph.quadruples[:] == tuple(graph.quadruples)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kgsqueeze as kq
 
-from conftest import bfs_distances, random_graph
+from conftest import random_graph
 
 
 def graph_from_edges(edges, n=None, first_token=None):
@@ -126,25 +126,6 @@ class TestDistances:
     def test_unknown_source_rejected(self, hangzhou):
         with pytest.raises(kq.UnknownEntityError):
             kq.all_distances(hangzhou, "nowhere")
-
-
-class TestAgainstBfsOracle:
-    def test_random_graphs_match_bfs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(120):
-            g = random_graph(rng)
-            source = g.entities[int(rng.integers(0, len(g.entities)))].id
-            assert kq.all_distances(g, source).distance == bfs_distances(
-                g, source
-            )
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_bfs_agreement_property(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng)
-        source = kq.select_initial_node(g)
-        assert kq.all_distances(g, source).distance == bfs_distances(g, source)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

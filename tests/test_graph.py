@@ -18,8 +18,7 @@ import kgsqueeze as kq
 from kgsqueeze.graph import SUM_TOLERANCE_BAND, SUM_WARN_TOLERANCE
 
 from conftest import (
-    SCORING_SURFACE, SCORING_TEXT, entropy_oracle, make_result, random_confidences,
-    random_graph,
+    SCORING_SURFACE, SCORING_TEXT, entropy_oracle, make_result, random_graph,
 )
 
 
@@ -34,32 +33,6 @@ def tiny_graph(confidences, labels=("r1", "r2", "r3")):
 
 
 class TestRelationEntropy:
-    def test_uniform_is_log2_of_size(self):
-        dist = kq.RelationDistribution(
-            tuple(f"r{i}" for i in range(16)), (1.0 / 16,) * 16
-        )
-        assert kq.relation_entropy(dist) == 4.0
-
-    def test_one_hot_is_zero_and_positive_signed(self):
-        dist = kq.RelationDistribution(("r1", "r2"), (1.0, 0.0))
-        value = kq.relation_entropy(dist)
-        assert value == 0.0
-        assert math.copysign(1.0, value) == 1.0
-
-    def test_known_three_way_split(self):
-        dist = kq.RelationDistribution(("r1", "r2", "r3"), (0.7, 0.2, 0.1))
-        assert kq.relation_entropy(dist) == pytest.approx(
-            1.1567796494470394, abs=1e-15
-        )
-
-    def test_matches_oracle_on_random_distributions(self):
-        rng = np.random.default_rng(42)
-        labels = tuple(f"r{i}" for i in range(12))
-        for _ in range(300):
-            conf = random_confidences(rng, labels)
-            got = tiny_graph(conf, labels).quadruples[0].entropy
-            assert got == pytest.approx(entropy_oracle(conf.values()), abs=1e-12)
-
     @given(
         st.lists(
             st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=16

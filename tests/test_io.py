@@ -332,7 +332,7 @@ class TestSelectionDocuments:
                            match="^document root must be an object$"):
             parse(root)
 
-    @pytest.mark.parametrize("field", ["K", "SU"])
+    @pytest.mark.parametrize("field", ["K", "SU", "disconnected_fallback"])
     def test_missing_figure_rejected(self, bruce, field):
         result = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         doc = json.loads(kq.emit_selection(result, bruce))

@@ -170,22 +170,6 @@ class TestVerbalize:
 
 
 class TestAccuracyCompleteness:
-    def test_swapping_texts_swaps_the_two_ratios(self):
-        text_a = "alpha beta alpha gamma"
-        text_b = "beta beta gamma"
-        surfaces = ["alpha", "beta", "gamma"]
-        candidates = [
-            ("alpha", "beta", {"r1": 1.0}),
-            ("beta", "gamma", {"r2": 1.0}),
-        ]
-        g_a = word_graph(text_a, surfaces, candidates)
-        g_b = word_graph(text_b, surfaces, candidates)
-        r = make_result([0, 1])
-        assert (kq.similarity(g_a, r, text_b).accuracy
-                == kq.similarity(g_b, r, text_a).completeness)
-        assert (kq.similarity(g_a, r, text_b).completeness
-                == kq.similarity(g_b, r, text_a).accuracy)
-
     def test_identical_text_gives_unity(self, bruce):
         r = make_result(range(len(bruce.quadruples)))
         assert kq.similarity(bruce, r, bruce.text).accuracy == 1.0
@@ -229,14 +213,6 @@ class TestAccuracyCompleteness:
 
 
 class TestSimilarity:
-    def test_phi_limits(self, bruce):
-        r = kq.select(bruce, kq.SelectionConfig(0.5, 9))
-        recovered = kq.verbalize(r, bruce)
-        at_zero = kq.similarity(bruce, r, recovered, phi=0.0)
-        at_one = kq.similarity(bruce, r, recovered, phi=1.0)
-        assert abs(at_zero.similarity - at_zero.theta * at_zero.accuracy) <= 1e-12
-        assert abs(at_one.similarity - at_one.theta * at_one.completeness) <= 1e-12
-
     def test_equal_ratios_collapse_the_weighting(self, bruce):
         r = kq.select(bruce, kq.SelectionConfig(0.3, 9))
         recovered = bruce.text
@@ -244,23 +220,6 @@ class TestSimilarity:
             report = kq.similarity(bruce, r, recovered, phi=phi)
             assert report.accuracy == report.completeness == 1.0
             assert abs(report.similarity - report.theta) <= 1e-12
-
-    def test_one_hot_graph_scores_the_quota(self):
-        g = word_graph(
-            "alpha beta gamma",
-            ["alpha", "beta", "gamma"],
-            [
-                ("alpha", "beta", {"r1": 1.0}),
-                ("beta", "gamma", {"r2": 1.0}),
-            ],
-        )
-        r = kq.select(g, kq.SelectionConfig(1.0, 2))
-        recovered = "alpha beta gamma"
-        report = kq.similarity(g, r, recovered)
-        assert report.accuracy == report.completeness == 1.0
-        assert report.theta == float(r.quota)
-        assert report.similarity == float(r.quota)
-        assert report.semantic_uncertainty == 0.0
 
     def test_phi_validation(self, bruce):
         r = kq.select(bruce, kq.SelectionConfig(0.5, 9))

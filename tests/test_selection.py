@@ -1,6 +1,5 @@
 """Quota arithmetic, eligibility, strategies, and the channel budget."""
 
-import itertools
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -71,14 +70,6 @@ def reference_pick(graph, pool, target, config):
     return sorted(
         pool, key=lambda i: (sign * (counts[quads[i].head] + counts[quads[i].tail]), i)
     )[:target]
-
-
-def brute_force_min_su(graph, pool, size):
-    """Exhaustive oracle: smallest total entropy of any ``size`` subset."""
-    entropies = [graph.quadruples[i].entropy for i in pool]
-    return min(
-        fsum(combo) for combo in itertools.combinations(entropies, size)
-    )
 
 
 class TestQuota:
@@ -442,53 +433,7 @@ class TestStrategies:
             kq.quota(0.5, 0)
 
 
-class TestOptimality:
-    def test_matches_brute_force_on_random_instances(self):
-        rng = np.random.default_rng(123)
-        for _ in range(60):
-            g = random_graph(rng, max_entities=8, max_quadruples=12)
-            ratio = float(rng.uniform(0.05, 1.0))
-            depth = int(rng.integers(0, 4))
-            r = kq.select(g, kq.SelectionConfig(ratio, depth))
-            if r.disconnected_fallback:
-                continue
-            distances = bfs_distances(g, central_concept(g))
-            pool = within_depth(g, distances, r.effective_depth)
-            assert r.semantic_uncertainty == brute_force_min_su(
-                g, pool, r.quota
-            )
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_nesting_at_fixed_depth(self, seed):
-        rng = np.random.default_rng(seed)
-        g = random_graph(rng, connected=True)
-        depth = kq.all_distances(g, kq.select_initial_node(g)).max_finite()
-        previous = set()
-        previous_su = 0.0
-        total = len(g.quadruples)
-        for quota_target in range(1, total + 1):
-            r = kq.select(g, kq.SelectionConfig(quota_target / total, depth))
-            current = set(r.selected)
-            assert previous <= current
-            assert r.semantic_uncertainty >= previous_su - 1e-12
-            previous, previous_su = current, r.semantic_uncertainty
-
-
 class TestChannelBudget:
-    def test_exact_textbook_case(self):
-        budget = kq.ChannelBudget(
-            time=1.0, bandwidth=1000.0, power=3.0,
-            channel_gain=1.0, noise_power=1.0, bits_per_quadruple=400,
-        )
-        assert budget.capacity_bits() == 2000.0
-        assert kq.budget_to_quota(budget, 10) == 5
-
-    def test_zero_power_transmits_nothing(self):
-        budget = kq.ChannelBudget(1.0, 1000.0, 0.0, 1.0, 1.0, 400)
-        assert budget.capacity_bits() == 0.0
-        assert kq.budget_to_quota(budget, 10) == 0
-
     def test_clamps_at_graph_size(self):
         budget = kq.ChannelBudget(100.0, 1000.0, 3.0, 1.0, 1.0, 400)
         assert kq.budget_to_quota(budget, 10) == 10
